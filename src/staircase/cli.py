@@ -35,6 +35,9 @@ from .geometry import (
     Upset,
     as_interval,
     frontier,
+    reflect_downset,
+    reflect_interval,
+    reflect_upset,
     shape_at,
     upper_boundary,
 )
@@ -145,6 +148,8 @@ def build_parser() -> _CliParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; ``--cell-limit`` applies to this call only."""
+    previous_limit = qe.get_cell_limit()
     try:
         args = build_parser().parse_args(argv)
         if args.cell_limit is not None:
@@ -156,6 +161,8 @@ def run(argv: list[str]) -> int:
     except StaircaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        qe.set_cell_limit(previous_limit)
 
 
 def _dispatch(args) -> int:
@@ -198,12 +205,10 @@ def _dispatch(args) -> int:
         if isinstance(obj, DiscreteDownset):
             raise InputFormatError("dual applies to real instances")
         if isinstance(obj, Downset):
-            dual = Upset(qe.reflect(obj.carrier))
+            dual = reflect_downset(obj)
         elif isinstance(obj, Upset):
-            dual = Downset(qe.reflect(obj.carrier))
+            dual = reflect_upset(obj)
         else:
-            from .geometry import reflect_interval
-
             dual = reflect_interval(obj)
         _emit(jsonio.instance_to_json(dual), args.out)
         return 0

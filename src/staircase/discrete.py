@@ -27,12 +27,7 @@ def _leq(a: Sequence[int], b: Sequence[int]) -> bool:
 
 def _minimalize(gens: Iterable[IVec]) -> tuple[IVec, ...]:
     gens = sorted(set(tuple(g) for g in gens))
-    keep = []
-    for g in gens:
-        if not any(_leq(h, g) for h in gens if h != g and _leq(h, g)):
-            keep.append(g)
-    # a generator equal to another was deduped; dominated ones dropped
-    return tuple(g for g in keep if not any(_leq(h, g) and h != g for h in keep))
+    return tuple(g for g in gens if not any(h != g and _leq(h, g) for h in gens))
 
 
 @dataclass(frozen=True)
@@ -131,56 +126,6 @@ def closed_cogenerators(
     return tuple(sorted(reps))
 
 
-def scan_cogenerators(
-    d: DiscreteDownset, tau: frozenset[int] | Iterable[int], margin: int = 2
-) -> tuple[IVec, ...]:
-    """Brute-force oracle for :func:`closed_cogenerators`.
-
-    Probes membership pointwise with no generator arithmetic: persistence
-    along ``tau`` is checked by stepping to the clamp bound ``B + margin``,
-    which is exact because all membership thresholds are at most ``B``.
-    """
-    tau = frozenset(int(t) for t in tau)
-    n = d.dim
-    bound = d.ideal.bound()
-    off = sorted(set(range(n)) - tau)
-    tau_sorted = sorted(tau)
-    reps: list[IVec] = []
-    for combo in itertools.product(*(range(-1, bound[j] + margin) for j in off)):
-        a = [0] * n
-        for j in tau:
-            a[j] = bound[j] + 1
-        for j, v in zip(off, combo):
-            a[j] = v
-        a_t = tuple(a)
-        if not d.in_interval(a_t):
-            continue
-        ok = all(
-            not d.in_interval(tuple(x + (1 if k == j else 0) for k, x in enumerate(a_t)))
-            for j in off
-        )
-        if not ok:
-            continue
-        stable = True
-        for steps in itertools.product(
-            *(range(0, bound[j] + margin + 1) for j in tau_sorted)
-        ):
-            b = list(a_t)
-            for j, s in zip(tau_sorted, steps):
-                b[j] += s
-            if not d.in_interval(tuple(b)):
-                stable = False
-                break
-        if stable:
-            reps.append(a_t)
-    # canonical reps have tau coords pinned; dedup by off-tau coordinates
-    seen = {}
-    for r in reps:
-        key = tuple(r[j] for j in off)
-        seen.setdefault(key, r)
-    return tuple(sorted(seen.values()))
-
-
 # ---------------------------------------------------------------------------
 # Decompositions
 
@@ -256,9 +201,8 @@ def _scan_box(dim: int, lo: int, his: Sequence[int]) -> Iterable[IVec]:
 def discrete_primary_decomposition(d: DiscreteDownset) -> DiscreteDecomposition:
     """Canonical minimal primary decomposition of the monomial interval.
 
-    The union of the components is verified to equal the interval both on a
-    margin box around the staircase and on the clamp box that decides the
-    predicates symbolically.
+    The union of the components is verified to equal the interval on a
+    margin box around the staircase, which decides the identity exactly.
     """
     n = d.dim
     cogens: dict[frozenset[int], tuple[IVec, ...]] = {}
@@ -272,22 +216,15 @@ def discrete_primary_decomposition(d: DiscreteDownset) -> DiscreteDecomposition:
         tau: DiscreteComponent(d.ideal, tau, reps) for tau, reps in cogens.items()
     }
     bound = d.ideal.bound()
-    # margin box: negative margin 2, upper margin 2
+    # Coordinates above B+1 are equivalent to B+1 for every predicate
+    # involved, and both sides are empty off N^n, so this scan over
+    # [-2, B+2]^n decides the identity over all of Z^n.
     for a in _scan_box(n, -2, tuple(b + 2 for b in bound)):
         lhs = d.in_interval(a)
         rhs = any(c.contains(a) for c in components.values())
         if lhs != rhs:
             raise InternalCheckFailure(
                 f"discrete primary union mismatch at {a}: interval={lhs} union={rhs}"
-            )
-    # clamp box: coordinates above B+1 are equivalent to B+1 for every
-    # predicate involved, so this scan decides the identity over all of Z^n
-    for a in _scan_box(n, 0, tuple(b + 1 for b in bound)):
-        lhs = d.in_interval(a)
-        rhs = any(c.contains(a) for c in components.values())
-        if lhs != rhs:
-            raise InternalCheckFailure(
-                f"discrete primary union mismatch at clamp point {a}"
             )
     return DiscreteDecomposition(d.ideal, components, cogens)
 
@@ -324,22 +261,23 @@ def component_cogenerators(
     dim: int,
     bound: IVec,
     tau: frozenset[int],
-    margin: int = 2,
 ) -> tuple[IVec, ...]:
-    """Closed cogenerator classes of an arbitrary box-determined discrete
-    set, keyed by their off-``tau`` coordinates.
+    """Oracle route: closed cogenerator classes of an arbitrary
+    box-determined discrete set, keyed by their off-``tau`` coordinates.
 
-    ``member`` must be a boolean combination of coordinate thresholds not
-    exceeding ``bound``; clamping to ``bound + margin`` is then exact, so the
-    persistence check along ``tau`` only needs the corners of a finite box.
+    Probes membership pointwise with no generator arithmetic, so it checks
+    :func:`closed_cogenerators` independently.  ``member`` must be a boolean
+    combination of coordinate thresholds not exceeding ``bound``; clamping
+    to ``bound + 2`` is then exact, so the persistence check along ``tau``
+    only needs the corners of a finite box.
     """
     off = sorted(set(range(dim)) - tau)
     tau_sorted = sorted(tau)
     classes: dict[IVec, IVec] = {}
-    for combo in itertools.product(*(range(-1, bound[j] + margin) for j in off)):
+    for combo in itertools.product(*(range(-1, bound[j] + 2) for j in off)):
         a = [0] * dim
         for j in tau:
-            a[j] = bound[j] + margin
+            a[j] = bound[j] + 2
         for j, v in zip(off, combo):
             a[j] = v
         a_t = tuple(a)
@@ -352,7 +290,7 @@ def component_cogenerators(
             continue
         stable = True
         for steps in itertools.product(
-            *(range(0, bound[j] + margin + 1) for j in tau_sorted)
+            *(range(0, bound[j] + 3) for j in tau_sorted)
         ):
             b = list(a_t)
             for j, s in zip(tau_sorted, steps):

@@ -128,10 +128,6 @@ class Shape:
         return f in self.faces
 
 
-def shape(dim: int, faces: Iterable[Face]) -> Shape:
-    return Shape(dim, frozenset(faces))
-
-
 def open_star(tau: Face) -> Shape:
     """All faces containing ``tau``."""
     rest = sorted(set(range(tau.dim)) - tau.coords)
@@ -144,20 +140,32 @@ def open_star(tau: Face) -> Shape:
 
 # Cells attached to faces -------------------------------------------------
 
+# Half-spaces ``(sign * e_i) . x  {<,<=}  0`` for each per-axis condition,
+# as (sign, strict) pairs in the order they enter the cell.
+_AXIS_CONDITIONS = {
+    ">": ((-1, True),),
+    ">=": ((-1, False),),
+    "=": ((1, False), (-1, False)),
+    "<=": ((1, False),),
+    "free": (),
+}
+
+
+def _axis_cell(conditions: list[str]) -> Cell:
+    """The cell cut out by one condition per axis, each comparing ``x_i``
+    with 0: ``">"``, ``">="``, ``"="``, ``"<="`` or ``"free"``."""
+    n = len(conditions)
+    cons = []
+    for i, condition in enumerate(conditions):
+        for sign, strict in _AXIS_CONDITIONS[condition]:
+            normal = tuple(Fraction(sign if k == i else 0) for k in range(n))
+            cons.append(HalfSpace(normal, Fraction(0), strict))
+    return Cell(n, tuple(cons))
+
 
 def face_interior(sigma: Face) -> Cell:
     """Relative interior: ``x_i > 0`` on the face, ``x_j = 0`` off it."""
-    n = sigma.dim
-    cons: list[HalfSpace] = []
-    for i in range(n):
-        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
-        neg = tuple(-c for c in e)
-        if i in sigma.coords:
-            cons.append(HalfSpace(neg, Fraction(0), True))  # x_i > 0
-        else:
-            cons.append(HalfSpace(e, Fraction(0), False))  # x_i <= 0
-            cons.append(HalfSpace(neg, Fraction(0), False))  # x_i >= 0
-    return Cell(n, tuple(cons))
+    return _axis_cell([">" if i in sigma.coords else "=" for i in range(sigma.dim)])
 
 
 def cone_of_shape(nabla: Shape) -> PLSet:
@@ -171,49 +179,21 @@ def cone_of_shape(nabla: Shape) -> PLSet:
 def upset_cone_cell(sigma: Face) -> Cell:
     """``sigma-interior + R^n_+`` as a single cell: ``x_i > 0`` on the face,
     ``x_j >= 0`` off it."""
-    n = sigma.dim
-    cons = []
-    for i in range(n):
-        neg = tuple(Fraction(-1 if k == i else 0) for k in range(n))
-        cons.append(HalfSpace(neg, Fraction(0), i in sigma.coords))
-    return Cell(n, tuple(cons))
+    return _axis_cell([">" if i in sigma.coords else ">=" for i in range(sigma.dim)])
 
 
 def orthant_cell(dim: int, negative: bool = False) -> Cell:
-    sign = Fraction(1 if negative else -1)
-    cons = [
-        HalfSpace(tuple(sign if k == i else Fraction(0) for k in range(dim)), Fraction(0), False)
-        for i in range(dim)
-    ]
-    return Cell(dim, tuple(cons))
+    return _axis_cell(["<=" if negative else ">="] * dim)
 
 
 def line_cell(tau: Face) -> Cell:
     """The linear span ``R tau``: coordinates off the face pinned to zero."""
-    n = tau.dim
-    cons = []
-    for j in range(n):
-        if j in tau.coords:
-            continue
-        e = tuple(Fraction(1 if k == j else 0) for k in range(n))
-        cons.append(HalfSpace(e, Fraction(0), False))
-        cons.append(HalfSpace(tuple(-c for c in e), Fraction(0), False))
-    return Cell(n, tuple(cons))
+    return _axis_cell(["free" if j in tau.coords else "=" for j in range(tau.dim)])
 
 
 def cone_cell(tau: Face) -> Cell:
     """The face ``tau`` as a closed cone: ``x_i >= 0`` on it, ``0`` off it."""
-    n = tau.dim
-    cons = []
-    for i in range(n):
-        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
-        neg = tuple(-c for c in e)
-        if i in tau.coords:
-            cons.append(HalfSpace(neg, Fraction(0), False))
-        else:
-            cons.append(HalfSpace(e, Fraction(0), False))
-            cons.append(HalfSpace(neg, Fraction(0), False))
-    return Cell(n, tuple(cons))
+    return _axis_cell([">=" if i in tau.coords else "=" for i in range(tau.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +355,7 @@ def _relatively_open_pieces(c: Cell) -> list[Cell]:
             return
         h = nonstrict[i]
         rec(i + 1, acc + [h.strictened()])
-        rec(i + 1, acc + [h, h.reversed_nonstrict()])
+        rec(i + 1, acc + [h, h.negated().relaxed()])  # h tight
 
     rec(0, list(base))
     return pieces
@@ -487,7 +467,8 @@ def lower_boundary(u: Upset, xi: Face) -> Upset:
 
 
 def lower_boundary_direct(u: Upset, xi: Face) -> Upset:
-    """Independent route: ``{b : b + xi-interior ⊆ U}`` via one complement.
+    """Oracle route: ``{b : b + xi-interior ⊆ U}`` via one complement,
+    coded independently of the reflection route :func:`lower_boundary`.
 
     For an honest upset the tail of the net along ``b + xi-interior`` is in
     the set iff the entire relative interior is, so the two routes agree.

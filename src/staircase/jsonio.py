@@ -187,10 +187,6 @@ def discrete_from_json(obj: Any, where: str = "ideal") -> DiscreteDownset:
     return DiscreteDownset(DiscreteIdeal(n, tuple(gens)))
 
 
-def discrete_to_json(d: DiscreteDownset) -> dict:
-    return {"kind": "discrete", "n": d.dim, "generators": [list(g) for g in d.ideal.generators]}
-
-
 # Derived structures -------------------------------------------------------
 
 

@@ -37,12 +37,13 @@ from .geometry import (
     indicator_vector,
     interval,
     reflect_downset,
+    reflect_upset,
     upper_boundary,
     upset_cone_cell,
 )
 from .qe import HalfSpace
 from .rationals import Vec, dot, frac, vec
-from .socle import sigma_closure, socle_table
+from .socle import sigma_closure, socle, socle_table
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,7 @@ def correspondence_check(d: DiscreteDownset) -> Report:
     n = d.dim
     for tau in all_faces(n):
         report.checked += 1
-        entry = socle_table_entry_closed(staircase, tau)
+        entry = socle(staircase, tau, tau).cosets  # closed stratum: nadir = face
         off = sorted(set(range(n)) - tau.coords)
         reps = decomposition.cogenerators.get(frozenset(tau.coords), ())
         points = [tuple(Fraction(r[j]) for j in off) for r in reps]
@@ -415,13 +416,6 @@ def correspondence_check(d: DiscreteDownset) -> Report:
             w = qe.witness(qe.symmetric_difference(entry, target))
             report.record(w or (), "discrete cosets", "real closed stratum")
     return report
-
-
-def socle_table_entry_closed(d: Downset, tau: Face) -> PLSet:
-    """Cosets of the closed socle stratum (nadir equal to the face)."""
-    from .socle import socle
-
-    return socle(d, tau, tau).cosets
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +461,7 @@ def verify_instance(
         return out
 
     if isinstance(obj, Upset):
-        mirrored = reflect_upset_to_downset(obj)
+        mirrored = reflect_upset(obj)
         out.reports.extend(_verify_real(mirrored, grid))
         out.reports.append(_top_routes_report(obj))
         return out
@@ -493,10 +487,6 @@ def _top_routes_report(u: Upset) -> Report:
                 w = qe.witness(qe.symmetric_difference(a.degrees, b.degrees))
                 report.record(w or (), "reflection route", "direct route")
     return report
-
-
-def reflect_upset_to_downset(u: Upset) -> Downset:
-    return Downset(qe.reflect(u.carrier))
 
 
 def _verify_real(m: Downset | Interval, grid: GridSpec | None) -> list[Report]:

@@ -49,22 +49,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def format_rational(x: Fraction) -> int | str:
     """Render for JSON: plain int when integral, else ``"p/q"``."""
     if x.denominator == 1:

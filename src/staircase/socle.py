@@ -50,15 +50,10 @@ from .qe import HalfSpace
 
 def _m_tau_cells(tau: Face) -> list[Cell]:
     """The punctured cone ``R^n_+ minus tau`` as cells ``{q >= 0, q_j > 0}``."""
-    n = tau.dim
-    out = []
-    for j in sorted(set(range(n)) - tau.coords):
-        cons = []
-        for i in range(n):
-            neg = tuple(Fraction(-1 if k == i else 0) for k in range(n))
-            cons.append(HalfSpace(neg, Fraction(0), i == j))
-        out.append(Cell(n, tuple(cons)))
-    return out
+    return [
+        upset_cone_cell(Face(tau.dim, frozenset({j})))
+        for j in sorted(tau.codim_coords)
+    ]
 
 
 def max_along(s: PLSet, tau: Face) -> PLSet:
@@ -88,7 +83,8 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
 
 
 def min_along(s: PLSet, rho: Face) -> PLSet:
-    """Order dual of :func:`max_along`: ``(a - R^n_+) ∩ s = a - rho``.
+    """Oracle route: order dual of :func:`max_along`,
+    ``(a - R^n_+) ∩ s = a - rho``.
 
     Coded without any reflection so the generator-side pipeline is an
     independent implementation.
@@ -455,9 +451,9 @@ def attached_faces(u: Upset | Interval) -> frozenset[Face]:
 
 
 def top_direct(u: Upset, rho: Face, xi: Face) -> TopEntry:
-    """Independently coded generator pipeline: lower boundaries beneath the
-    faces between ``rho`` and ``xi``, stratified, then minimized along
-    ``rho``.  Used to cross-check the reflection route."""
+    """Oracle route: independently coded generator pipeline, with lower
+    boundaries beneath the faces between ``rho`` and ``xi``, stratified, then
+    minimized along ``rho``.  Used to cross-check the reflection route."""
     if not isinstance(u, Upset):
         raise ValidationError("the direct generator route takes an honest upset")
     if not rho.coords <= xi.coords:

@@ -65,3 +65,21 @@ def rational_grid(lo, hi, step):
             x += Fraction(step)
         axes.append(vals)
     return list(itertools.product(*axes))
+
+
+def closed_cogenerators_match_scan(d, tau):
+    """``closed_cogenerators`` against the pointwise oracle scan
+    ``component_cogenerators``: the same classes in the same order off
+    ``tau``, and every closed representative pinned at ``B_j + 1`` on ``tau``
+    (the scan pins them at ``B_j + 2``)."""
+    from staircase.discrete import closed_cogenerators, component_cogenerators
+
+    tau = frozenset(tau)
+    bound = d.ideal.bound()
+    off = [j for j in range(d.dim) if j not in tau]
+    closed = closed_cogenerators(d, tau)
+    scanned = component_cogenerators(d.in_interval, d.dim, bound, tau)
+    pinned = all(r[j] == bound[j] + 1 for r in closed for j in tau)
+    return pinned and [tuple(r[j] for j in off) for r in closed] == [
+        tuple(r[j] for j in off) for r in scanned
+    ]

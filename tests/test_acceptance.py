@@ -42,15 +42,15 @@ from staircase import (
     socle_table,
     symmetric_difference,
     top,
-    top_direct,
     upper_boundary,
     verify_minimality,
     witness,
 )
 from staircase.decompose import IrreducibleFamily
-from staircase.discrete import discrete_primary_decomposition, scan_cogenerators
+from staircase.discrete import discrete_primary_decomposition
+from staircase.socle import top_direct
 
-from conftest import hs
+from conftest import closed_cogenerators_match_scan, hs
 
 
 def F(a, b=1):
@@ -294,12 +294,6 @@ def test_criterion_6_discrete_oracle():
     assert elapsed < 60, f"discrete oracle took {elapsed:.1f}s"
     _report(6, f"200 random ideals decomposed and cross-checked in "
                f"{elapsed:.1f}s (< 60s); (x^2,xy) = (x) meet (x^2,y)")
-
-
-def closed_cogenerators_match_scan(d, tau):
-    from staircase import closed_cogenerators
-
-    return closed_cogenerators(d, tau) == scan_cogenerators(d, tau)
 
 
 # -- 7 ------------------------------------------------------------------------

@@ -193,6 +193,10 @@ def test_cell_limit_flag(tmp_path, triangle_path):
     try:
         # an absurdly small budget trips the guard during decomposition
         assert run(["--cell-limit", "2", "decompose-primary", triangle_path]) == 1
+        # the flag applies to that call only, whether it fails or succeeds
+        assert get_cell_limit() == previous
+        assert run(["--cell-limit", "7", "validate", triangle_path]) == 0
+        assert get_cell_limit() == previous
     finally:
         from staircase.qe import set_cell_limit
 

@@ -25,7 +25,6 @@ from staircase import (
     is_upset,
     localize,
     lower_boundary,
-    lower_boundary_direct,
     minkowski,
     open_star,
     plset,
@@ -39,7 +38,7 @@ from staircase import (
     upper_boundary,
     zero_face,
 )
-from staircase.geometry import Shape, orthant_cell
+from staircase.geometry import Shape, lower_boundary_direct, orthant_cell
 
 from conftest import hs, rational_grid
 
@@ -65,6 +64,26 @@ def test_face_interior_cells():
     )
     quad = face_interior(full_face(2))
     assert equals(plset(2, quad), plset(2, cell(2, hs([-1, 0], 0, True), hs([0, -1], 0, True))))
+
+
+def test_face_cells_exact_constraints():
+    # Constraint order and strictness feed Fourier-Motzkin as they are, so
+    # the face cells are pinned syntactically, not only as sets.
+    from staircase.geometry import cone_cell, line_cell, upset_cone_cell
+
+    def axis(i, sign, strict=False):
+        return hs([sign if k == i else 0 for k in range(3)], 0, strict)
+
+    f = face(3, [0, 2])
+    eq1 = (axis(1, 1), axis(1, -1))
+    assert face_interior(f).constraints == (axis(0, -1, True), *eq1, axis(2, -1, True))
+    assert upset_cone_cell(f).constraints == (
+        axis(0, -1, True), axis(1, -1), axis(2, -1, True)
+    )
+    assert line_cell(f).constraints == eq1
+    assert cone_cell(f).constraints == (axis(0, -1), *eq1, axis(2, -1))
+    assert orthant_cell(3).constraints == tuple(axis(i, -1) for i in range(3))
+    assert orthant_cell(3, negative=True).constraints == tuple(axis(i, 1) for i in range(3))
 
 
 def test_open_star():

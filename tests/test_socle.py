@@ -35,13 +35,12 @@ from staircase import (
     socle_stratum,
     socle_table,
     top,
-    top_direct,
     top_table,
     universe,
 )
 from staircase.geometry import line_cell, orthant_cell
 from staircase.qe import minkowski
-from staircase.socle import boundary_degrees, validate_socle_table
+from staircase.socle import boundary_degrees, top_direct, validate_socle_table
 
 from conftest import hs
 
