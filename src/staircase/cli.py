@@ -260,15 +260,7 @@ def _dispatch(args) -> int:
             _emit(jsonio.socle_table_to_json(socle_table(obj)), args.out)
         else:
             e = socle(obj, tau, sigma)
-            _emit(
-                {
-                    "tau": face_to_json(tau),
-                    "sigma": face_to_json(sigma),
-                    "degrees": plset_to_json(e.degrees),
-                    "cosets": plset_to_json(e.cosets),
-                },
-                args.out,
-            )
+            _emit(jsonio.face_pair_entry_to_json(jsonio.SOCLE_FACES, (tau, sigma), e), args.out)
         return 0
 
     if cmd == "ass":
@@ -284,27 +276,10 @@ def _dispatch(args) -> int:
         if (rho is None) != (xi is None):
             raise InputFormatError("top needs both --rho and --xi, or neither")
         if rho is None:
-            table = top_table(obj)
-            entries = {}
-            for (r, x), e in sorted(
-                table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-            ):
-                entries[f"rho={face_to_json(r)};xi={face_to_json(x)}"] = {
-                    "degrees": plset_to_json(e.degrees),
-                    "cosets": plset_to_json(e.cosets),
-                }
-            _emit({"dim": n, "entries": entries}, args.out)
+            _emit(jsonio.face_pair_table_to_json(n, top_table(obj), jsonio.TOP_FACES), args.out)
         else:
             e = top(obj, rho, xi)
-            _emit(
-                {
-                    "rho": face_to_json(rho),
-                    "xi": face_to_json(xi),
-                    "degrees": plset_to_json(e.degrees),
-                    "cosets": plset_to_json(e.cosets),
-                },
-                args.out,
-            )
+            _emit(jsonio.face_pair_entry_to_json(jsonio.TOP_FACES, (rho, xi), e), args.out)
         return 0
 
     if cmd == "att":

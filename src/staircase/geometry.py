@@ -365,7 +365,7 @@ def _is_syntactically_closed(s: PLSet) -> bool:
     return all(not h.strict for c in s.cells for h in c.constraints)
 
 
-def upper_boundary(d: Downset, sigma: Face, check: bool = True) -> Downset:
+def upper_boundary(d: Downset, sigma: Face) -> Downset:
     """Close the downset along the flats parallel to ``sigma``.
 
     Algorithm: split each cell into relatively open pieces; for such a piece
@@ -386,15 +386,12 @@ def upper_boundary(d: Downset, sigma: Face, check: bool = True) -> Downset:
             cyl = qe.exists(PLSet(d.dim, (piece,)), sigma.coords)
             closed = Cell(d.dim, tuple(h.relaxed() for h in piece.constraints))
             for cylcell in cyl.cells:
-                merged = Cell(d.dim, closed.constraints + cylcell.constraints)
-                if not qe.is_empty_cell(merged):
-                    out.append(merged)
+                out.append(Cell(d.dim, closed.constraints + cylcell.constraints))
     result = qe.canonicalize(PLSet(d.dim, tuple(out)))
-    if check:
-        if not qe.is_subset(d.carrier, result):
-            raise InternalCheckFailure("upper boundary lost points of the downset")
-        if not qe.is_subset(result, qe.closure(d.carrier)):
-            raise InternalCheckFailure("upper boundary escaped the closure")
+    if not qe.is_subset(d.carrier, result):
+        raise InternalCheckFailure("upper boundary lost points of the downset")
+    if not qe.is_subset(result, qe.closure(d.carrier)):
+        raise InternalCheckFailure("upper boundary escaped the closure")
     return Downset(result)  # constructor re-checks downset-ness
 
 

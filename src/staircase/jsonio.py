@@ -197,20 +197,40 @@ def shape_to_json(faces, minimal) -> dict:
     }
 
 
-def _face_pair_key(tau: Face, sigma: Face) -> str:
-    return f"tau={face_to_json(tau)};sigma={face_to_json(sigma)}"
+# Names of the two faces that key a table entry.
+SOCLE_FACES = ("tau", "sigma")
+TOP_FACES = ("rho", "xi")
+
+
+def _entry_sets(e) -> dict:
+    return {"degrees": plset_to_json(e.degrees), "cosets": plset_to_json(e.cosets)}
+
+
+def face_pair_entry_to_json(names: tuple[str, str], faces: tuple[Face, Face], e) -> dict:
+    """One socle or top entry with its two faces named: ``{tau, sigma,
+    degrees, cosets}`` or ``{rho, xi, degrees, cosets}``."""
+    return {
+        names[0]: face_to_json(faces[0]),
+        names[1]: face_to_json(faces[1]),
+        **_entry_sets(e),
+    }
+
+
+def face_pair_table_to_json(dim: int, entries: dict, names: tuple[str, str]) -> dict:
+    """A socle or top table, each entry keyed ``tau=[..];sigma=[..]`` (or
+    ``rho=[..];xi=[..]``)."""
+    out = {}
+    for (first, second), e in sorted(
+        entries.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
+    ):
+        out[f"{names[0]}={face_to_json(first)};{names[1]}={face_to_json(second)}"] = (
+            _entry_sets(e)
+        )
+    return {"dim": dim, "entries": out}
 
 
 def socle_table_to_json(table: SocleTable) -> dict:
-    entries = {}
-    for (tau, sigma), e in sorted(
-        table.entries.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-    ):
-        entries[_face_pair_key(tau, sigma)] = {
-            "degrees": plset_to_json(e.degrees),
-            "cosets": plset_to_json(e.cosets),
-        }
-    return {"dim": table.dim, "entries": entries}
+    return face_pair_table_to_json(table.dim, table.entries, SOCLE_FACES)
 
 
 def _parse_face_pair_key(key: str, dim: int, where: str) -> tuple[Face, Face]:

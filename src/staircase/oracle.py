@@ -43,7 +43,7 @@ from .geometry import (
 )
 from .qe import HalfSpace
 from .rationals import Vec, dot, frac, vec
-from .socle import sigma_closure, socle, socle_table
+from .socle import sigma_closure, socle
 
 
 @dataclass(frozen=True)
@@ -473,19 +473,15 @@ def verify_instance(
 
 def _top_routes_report(u: Upset) -> Report:
     """Generator functor computed by reflection vs the direct pipeline."""
-    from .socle import top, top_direct
+    from .socle import top_direct, top_table
 
     report = Report("top-route-agreement")
-    for rho in all_faces(u.dim):
-        for xi in all_faces(u.dim):
-            if not rho.coords <= xi.coords:
-                continue
-            report.checked += 1
-            a = top(u, rho, xi)
-            b = top_direct(u, rho, xi)
-            if not (qe.equals(a.degrees, b.degrees) and qe.equals(a.cosets, b.cosets)):
-                w = qe.witness(qe.symmetric_difference(a.degrees, b.degrees))
-                report.record(w or (), "reflection route", "direct route")
+    for (rho, xi), a in top_table(u).items():
+        report.checked += 1
+        b = top_direct(u, rho, xi)
+        if not (qe.equals(a.degrees, b.degrees) and qe.equals(a.cosets, b.cosets)):
+            w = qe.witness(qe.symmetric_difference(a.degrees, b.degrees))
+            report.record(w or (), "reflection route", "direct route")
     return report
 
 
@@ -506,13 +502,13 @@ def _verify_real(m: Downset | Interval, grid: GridSpec | None) -> list[Report]:
     else:
         for sigma in all_faces(iv.dim):
             reports.append(interval_boundary_probe_check(iv, sigma, g))
-    table = socle_table(m)
+    decomposition = primary_decomposition(m)  # raises on union failure
+    table = decomposition.table
     validate_socle_table(table)
     structural = Report("socle-structure")
     structural.checked = len(table.entries)
     reports.append(structural)
-    decomposition = primary_decomposition(m)  # raises on union failure
-    recon = reconstruct(irreducible_family(m, table=decomposition.table), m)
+    recon = reconstruct(irreducible_family(m, table=table), m)
     rr = Report("irreducible-reconstruction")
     rr.checked = 1
     if not qe.equals(recon, iv.carrier):

@@ -81,11 +81,7 @@ class HalfSpace:
         return value < self.offset if self.strict else value <= self.offset
 
     def is_zero_normal(self) -> bool:
-        cached = self.__dict__.get("_zn")
-        if cached is None:
-            cached = all(c == 0 for c in self.normal)
-            object.__setattr__(self, "_zn", cached)
-        return cached
+        return not any(self.normal)
 
     def constant_truth(self) -> bool:
         """Truth value of a zero-normal constraint."""
@@ -136,46 +132,36 @@ class HalfSpace:
         object.__setattr__(self, "_key", key)
         return key
 
-    def _normal_key_and_offset(self) -> tuple[tuple, Fraction, bool]:
-        cached = self.__dict__.get("_nko")
-        if cached is None:
-            nk, (p, q), strict = self.key()
-            cached = (nk, Fraction(p, q), strict)
-            object.__setattr__(self, "_nko", cached)
-        return cached
-
 
 def halfspace(normal: Iterable[Rat], offset: Rat, strict: bool = False) -> HalfSpace:
     return HalfSpace(vec(normal), frac(offset), strict)
 
 
 def _normalize_constraints(
-    dim: int, constraints: Iterable[HalfSpace]
+    constraints: Iterable[HalfSpace],
 ) -> tuple[HalfSpace, ...] | None:
     """Drop trivial constraints, dedup, keep the tightest of parallel bounds.
 
-    Returns ``None`` when a constant contradiction makes the cell empty.
+    Works on the canonical keys alone.  Returns ``None`` when a constant
+    contradiction makes the cell empty.
     """
-    by_normal: dict[tuple, tuple[Fraction, bool, HalfSpace]] = {}
+    by_normal: dict[tuple, tuple[int, int, bool, HalfSpace]] = {}
     for h in constraints:
-        if h.dim != dim:
-            raise DimensionMismatch(
-                f"constraint of dimension {h.dim} in cell of dimension {dim}"
-            )
-        if h.is_zero_normal():
+        nk, (p, q), strict = h.key()
+        if not any(nk):
             if not h.constant_truth():
                 return None
             continue
-        nk, off, strict = h._normal_key_and_offset()
         prev = by_normal.get(nk)
         if prev is None:
-            by_normal[nk] = (off, strict, h)
+            by_normal[nk] = (p, q, strict, h)
         else:
-            poff, pstrict, _ = prev
-            # Smaller offset is tighter; on ties a strict bound wins.
-            if (off, not strict) < (poff, not pstrict):
-                by_normal[nk] = (off, strict, h)
-    return tuple(entry[2] for entry in by_normal.values())
+            pp, pq, pstrict, _ = prev
+            # Smaller offset p/q is tighter (denominators are positive); on
+            # ties a strict bound wins.
+            if p * pq < pp * q or (p * pq == pp * q and strict and not pstrict):
+                by_normal[nk] = (p, q, strict, h)
+    return tuple(entry[3] for entry in by_normal.values())
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +228,14 @@ def _fm_step(
             normal = tuple(b * lc + a * uc for lc, uc in zip(lo.normal, up.normal))
             offset = b * lo.offset + a * up.offset
             out.append(HalfSpace(normal, offset, lo.strict or up.strict))
-    return _normalize_constraints(dim, out)
+    return _normalize_constraints(out)
 
 
 def _eliminate_vars(
     dim: int, constraints: Sequence[HalfSpace], idxs: Iterable[int]
 ) -> tuple[HalfSpace, ...] | None:
     """Existentially project out all variables in ``idxs``.  ``None`` = empty."""
-    current = _normalize_constraints(dim, constraints)
+    current = _normalize_constraints(constraints)
     if current is None:
         return None
     remaining = set(idxs)
@@ -279,7 +265,7 @@ def clear_caches() -> None:
 
 def is_empty_cell(c: Cell) -> bool:
     """True iff no rational (equivalently real) point satisfies the cell."""
-    norm = _normalize_constraints(c.dim, c.constraints)
+    norm = _normalize_constraints(c.constraints)
     if norm is None:
         return True
     key = (c.dim, frozenset(h.key() for h in norm))
@@ -300,7 +286,7 @@ def witness_cell(c: Cell) -> Vec | None:
     Eliminates variables one at a time and back-substitutes, choosing a
     rational value strictly inside the feasible interval at each level.
     """
-    norm = _normalize_constraints(c.dim, c.constraints)
+    norm = _normalize_constraints(c.constraints)
     if norm is None:
         return None
     systems: list[tuple[HalfSpace, ...]] = [norm]
@@ -458,11 +444,12 @@ def _merge_complementary(dim: int, cells_: list[Cell]) -> list[Cell]:
 
 # Light structural cleanup: normalize constraints, drop empty cells, dedup,
 # merge complementary splits, and drop cells syntactically contained in
-# another (more constraints = smaller).
+# another (more constraints = smaller).  This is the one place where the
+# boolean operations normalize and emptiness-check the cells they build.
 def _light_cleanup(dim: int, cells_: Iterable[Cell]) -> tuple[Cell, ...]:
     seen: dict[tuple, Cell] = {}
     for c in cells_:
-        norm = _normalize_constraints(dim, c.constraints)
+        norm = _normalize_constraints(c.constraints)
         if norm is None:
             continue
         cc = Cell(dim, norm)
@@ -470,7 +457,7 @@ def _light_cleanup(dim: int, cells_: Iterable[Cell]) -> tuple[Cell, ...]:
             continue
         seen.setdefault(cc.key(), cc)
     items = _merge_complementary(dim, list(seen.values()))
-    keysets = [frozenset(h.key() for h in c.constraints) for c in items]
+    keysets = [c.key()[1] for c in items]
     keep: list[Cell] = []
     for i, c in enumerate(items):
         absorbed = False
@@ -599,39 +586,24 @@ def union(*sets: PLSet) -> PLSet:
 def intersect(s: PLSet, t: PLSet) -> PLSet:
     dim = _require_same_dim(s, t)
     _check_budget(len(s.cells) * max(1, len(t.cells)), "intersect")
-    out: list[Cell] = []
-    for a in s.cells:
-        for b in t.cells:
-            merged = _normalize_constraints(dim, a.constraints + b.constraints)
-            if merged is None:
-                continue
-            c = Cell(dim, merged)
-            if not is_empty_cell(c):
-                out.append(c)
+    out = [Cell(dim, a.constraints + b.constraints) for a in s.cells for b in t.cells]
     return PLSet(dim, _light_cleanup(dim, out))
-
-
-def _cell_minus_cell(a: Cell, b: Cell) -> list[Cell]:
-    """Cover of ``a \\ b`` by cells (possibly overlapping)."""
-    out: list[Cell] = []
-    for h in b.constraints:
-        merged = _normalize_constraints(a.dim, a.constraints + (h.negated(),))
-        if merged is None:
-            continue
-        c = Cell(a.dim, merged)
-        if not is_empty_cell(c):
-            out.append(c)
-    return out
 
 
 def _subtract_cells(
     dim: int, pieces: list[Cell], cells_: Sequence[Cell], where: str
 ) -> list[Cell]:
-    """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty."""
+    """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty.
+
+    ``p \\ b`` is covered by the cells ``p and not-h`` for the constraints
+    ``h`` of ``b``.  The budget counts these candidates before the cleanup
+    drops the empty ones."""
     for b in cells_:
-        nxt: list[Cell] = []
-        for p in pieces:
-            nxt.extend(_cell_minus_cell(p, b))
+        nxt = [
+            Cell(dim, p.constraints + (h.negated(),))
+            for p in pieces
+            for h in b.constraints
+        ]
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(dim, nxt))
         if not pieces:
@@ -718,7 +690,9 @@ def closure(s: PLSet) -> PLSet:
     closure: the relaxed cell is closed and contains the cell, and any point
     of it is a limit of the segment toward an interior witness, since each
     strict constraint stays strict along that segment.  Empty cells are
-    dropped before relaxing, so the argument applies cell by cell.
+    dropped before relaxing, so the argument applies cell by cell; the later
+    cleanup cannot do this, since relaxing can make an empty cell nonempty
+    (``{x < 0, x > 0}`` relaxes to ``{0}``).
     """
     out: list[Cell] = []
     for c in s.cells:
@@ -767,9 +741,7 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
             trimmed = tuple(
                 HalfSpace(h.normal[:n], h.offset, h.strict) for h in reduced
             )
-            c = Cell(n, trimmed)
-            if not is_empty_cell(c):
-                out.append(c)
+            out.append(Cell(n, trimmed))
     return PLSet(n, _light_cleanup(n, out))
 
 

@@ -427,23 +427,23 @@ def _as_upset_interval(u: Upset | Interval) -> Interval:
     raise ValidationError(f"tops are defined for upsets and intervals, got {type(u).__name__}")
 
 
+def _top_entry(rho: Face, xi: Face, socle_entry: SocleEntry) -> TopEntry:
+    """The top along ``rho`` with attachment ``xi`` read off the socle entry
+    of the reflected module: reflect its degrees, then project them."""
+    degrees = qe.canonicalize(qe.reflect(socle_entry.degrees))
+    return TopEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))
+
+
 def top(u: Upset | Interval, rho: Face, xi: Face) -> TopEntry:
     """Top along ``rho`` with attachment ``xi``, by reflecting the socle."""
     iv = _as_upset_interval(u)
-    entry = socle(reflect_interval(iv), rho, xi)
-    degrees = qe.reflect(entry.degrees)
-    cosets = qe.canonicalize(project_mod(degrees, rho))
-    return TopEntry(rho, xi, qe.canonicalize(degrees), cosets)
+    return _top_entry(rho, xi, socle(reflect_interval(iv), rho, xi))
 
 
 def top_table(u: Upset | Interval) -> dict[tuple[Face, Face], TopEntry]:
     iv = _as_upset_interval(u)
     mirrored = socle_table(reflect_interval(iv))
-    out: dict[tuple[Face, Face], TopEntry] = {}
-    for (rho, xi), e in mirrored.entries.items():
-        degrees = qe.canonicalize(qe.reflect(e.degrees))
-        out[(rho, xi)] = TopEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))
-    return out
+    return {(rho, xi): _top_entry(rho, xi, e) for (rho, xi), e in mirrored.entries.items()}
 
 
 def attached_faces(u: Upset | Interval) -> frozenset[Face]:

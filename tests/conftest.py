@@ -1,4 +1,7 @@
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +86,16 @@ def closed_cogenerators_match_scan(d, tau):
     return pinned and [tuple(r[j] for j in off) for r in closed] == [
         tuple(r[j] for j in off) for r in scanned
     ]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """Execute ``perfbench/<name>.py`` from its source, writing nothing."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

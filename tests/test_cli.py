@@ -11,9 +11,17 @@ from staircase import (
     face,
     plset,
     socle_table,
+    top_table,
 )
 from staircase.cli import run
-from staircase.jsonio import dumps, instance_to_json, loads, plset_from_json, socle_table_to_json
+from staircase.jsonio import (
+    dumps,
+    instance_to_json,
+    loads,
+    plset_from_json,
+    plset_to_json,
+    socle_table_to_json,
+)
 
 from conftest import hs
 
@@ -130,6 +138,27 @@ def test_top_att(capsys, tmp_path):
     assert code == 0 and data["degrees"]["cells"]
     code, data = run_json(capsys, "att", str(p))
     assert code == 0 and data == {"attached": [[]]}
+
+
+def test_top_full_table(capsys, tmp_path):
+    u = Upset(plset(2, cell(2, hs([-1, -1], -1, True))))
+    p = tmp_path / "u.json"
+    p.write_text(dumps(instance_to_json(u)))
+    code, data = run_json(capsys, "top", str(p))
+    assert code == 0 and data["dim"] == 2
+    table = top_table(u)
+    expected_keys = {
+        f"rho={[i + 1 for i in sorted(rho.coords)]};xi={[i + 1 for i in sorted(xi.coords)]}"
+        for rho, xi in table
+    }
+    assert set(data["entries"]) == expected_keys
+    assert "rho=[];xi=[1, 2]" in expected_keys
+    for (rho, xi), e in table.items():
+        key = f"rho={[i + 1 for i in sorted(rho.coords)]};xi={[i + 1 for i in sorted(xi.coords)]}"
+        got = data["entries"][key]
+        assert got == {"degrees": plset_to_json(e.degrees), "cosets": plset_to_json(e.cosets)}
+        assert equals(plset_from_json(got["degrees"]), e.degrees)
+        assert equals(plset_from_json(got["cosets"]), e.cosets)
 
 
 def test_discrete_decompose(capsys, tmp_path):

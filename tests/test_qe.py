@@ -1,5 +1,6 @@
 """Unit and property tests for the exact linear set engine."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from staircase import (
     cell,
     closure,
     complement,
+    difference,
     directional_limit_member,
     eliminate,
     empty,
@@ -33,7 +35,7 @@ from staircase import (
     universe,
     witness,
 )
-from staircase.qe import is_empty_cell, witness_cell
+from staircase.qe import _normalize_constraints, is_empty_cell, witness_cell
 
 from conftest import hs, rational_grid
 
@@ -340,3 +342,41 @@ def test_equality_matches_grid_sampling(s, t):
     if not eq:
         assert w is not None
         assert s.contains(w) != t.contains(w)
+
+
+def _seeded_plset(rng, n):
+    """1-3 cells of 1-4 half-spaces with mixed strictness; normals may be
+    zero or parallel, so normalization has constraints to drop."""
+    cells_ = []
+    for _ in range(rng.randint(1, 3)):
+        cons = [
+            halfspace(
+                [rng.randint(-2, 2) for _ in range(n)],
+                Fraction(rng.randint(-3, 3), rng.choice((1, 2))),
+                rng.random() < 0.5,
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        cells_.append(Cell(n, tuple(cons)))
+    return PLSet(n, tuple(cells_))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_operation_outputs_are_nonempty_and_normalized(seed, n):
+    # The operations leave normalizing and dropping empty cells to one
+    # cleanup pass; every cell they return must have been through it.
+    rng = random.Random(seed)
+    s, t, k = (_seeded_plset(rng, n) for _ in range(3))
+    outputs = {
+        "intersect": intersect(s, t),
+        "difference": difference(s, t),
+        "union": union(s, t),
+        "minkowski": minkowski(s, k.cells[0]),
+        "exists": exists(s, {rng.randrange(n)}),
+        "closure": closure(s),
+    }
+    for name, out in outputs.items():
+        for c in out.cells:
+            assert not is_empty_cell(c), name
+            assert _normalize_constraints(c.constraints) == c.constraints, name

@@ -359,6 +359,7 @@ def test_attached_face_of_localized_principal():
 @given(st.integers(0, 10_000))
 def test_top_routes_agree(seed):
     u = random_upset(seed + 7, 2, 4)
+    table = top_table(u)
     for rho in all_faces(2):
         for xi in all_faces(2):
             if not rho.coords <= xi.coords:
@@ -367,3 +368,4 @@ def test_top_routes_agree(seed):
             b = top_direct(u, rho, xi)
             assert equals(a.degrees, b.degrees)
             assert equals(a.cosets, b.cosets)
+            assert table[(rho, xi)] == a  # the table and the single entry agree cell for cell
