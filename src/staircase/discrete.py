@@ -194,7 +194,7 @@ def _piece_contains(
     return all(a[j] <= rep[j] for j in range(ideal.dim) if j not in tau)
 
 
-def _scan_box(dim: int, lo: int, his: Sequence[int]) -> Iterable[IVec]:
+def _scan_box(lo: int, his: Sequence[int]) -> Iterable[IVec]:
     return itertools.product(*(range(lo, h + 1) for h in his))
 
 
@@ -219,7 +219,7 @@ def discrete_primary_decomposition(d: DiscreteDownset) -> DiscreteDecomposition:
     # Coordinates above B+1 are equivalent to B+1 for every predicate
     # involved, and both sides are empty off N^n, so this scan over
     # [-2, B+2]^n decides the identity over all of Z^n.
-    for a in _scan_box(n, -2, tuple(b + 2 for b in bound)):
+    for a in _scan_box(-2, tuple(b + 2 for b in bound)):
         lhs = d.in_interval(a)
         rhs = any(c.contains(a) for c in components.values())
         if lhs != rhs:
@@ -237,11 +237,10 @@ def discrete_irreducible_decomposition(
 
 def is_irredundant(d: DiscreteDownset, pieces: Sequence[tuple[frozenset[int], IVec]]) -> bool:
     """Each irreducible piece contains an interval point no other piece has."""
-    n = d.dim
     bound = d.ideal.bound()
     for i, (tau, rep) in enumerate(pieces):
         found = False
-        for a in _scan_box(n, 0, tuple(b + 1 for b in bound)):
+        for a in _scan_box(0, tuple(b + 1 for b in bound)):
             if not _piece_contains(d.ideal, tau, rep, a):
                 continue
             if not any(

@@ -170,9 +170,8 @@ def face_interior(sigma: Face) -> Cell:
 
 def cone_of_shape(nabla: Shape) -> PLSet:
     """Union of the relative interiors of the shape's faces."""
-    return qe.canonicalize(
-        PLSet(nabla.dim, tuple(face_interior(f) for f in sorted(nabla.faces, key=Face.sort_key))),
-        deep=False,
+    return qe.union(
+        PLSet(nabla.dim, tuple(face_interior(f) for f in sorted(nabla.faces, key=Face.sort_key)))
     )
 
 

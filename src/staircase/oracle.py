@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import qe
 from .discrete import (
@@ -34,16 +34,18 @@ from .geometry import (
     Upset,
     all_faces,
     as_interval,
+    face_interior,
+    frontier,
     indicator_vector,
     interval,
     reflect_downset,
     reflect_upset,
-    upper_boundary,
+    shape_at,
     upset_cone_cell,
 )
 from .qe import HalfSpace
 from .rationals import Vec, dot, frac, vec
-from .socle import sigma_closure, socle
+from .socle import _quotient_face, boundary_degrees, sigma_closure, socle
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,33 @@ class Report:
             )
 
 
+def _grid_check(
+    name: str,
+    grid: GridSpec,
+    symbolic: Callable[[Vec], bool],
+    expected: Callable[[Vec], bool | None],
+) -> Report:
+    """Walk the grid and compare the engine's ``symbolic`` answer with the
+    independent ``expected`` one at every point; ``None`` from ``expected``
+    counts the point as inconclusive."""
+    report = Report(name)
+    for p in grid.points():
+        report.checked += 1
+        got, want = symbolic(p), expected(p)
+        if want is None:
+            report.inconclusive += 1
+        elif want != got:
+            report.record(p, want, got)
+    return report
+
+
+def _three_depths(grid: GridSpec, holds: Callable[[Fraction], bool]) -> bool | None:
+    """``holds`` at the probe depth, its half and its quarter, or ``None``
+    when the three disagree."""
+    values = {holds(e) for e in (grid.probe, grid.probe / 2, grid.probe / 4)}
+    return values.pop() if len(values) == 1 else None
+
+
 def sample_check_membership(
     s: PLSet,
     grid: GridSpec,
@@ -147,59 +176,32 @@ def sample_check_membership(
     """
     if grid.dim != s.dim:
         raise ValidationError("grid dimension mismatch")
-    pred = predicate or s.contains
-    report = Report(name)
-    for p in grid.points():
-        report.checked += 1
-        expected = pred(p)
-        got = s.contains(p)
-        if expected != got:
-            report.record(p, expected, got)
-    return report
-
-
-def _probe_agree(values: Sequence[bool]) -> bool | None:
-    return values[0] if all(v == values[0] for v in values) else None
+    return _grid_check(name, grid, s.contains, predicate or s.contains)
 
 
 def boundary_probe_check(d: Downset, sigma: Face, grid: GridSpec) -> Report:
-    """Upper boundary membership vs the decreasing-epsilon ray probe."""
-    bd = upper_boundary(d, sigma).carrier
-    report = Report(f"boundary-probe sigma={sorted(sigma.coords)}")
-    direction = tuple(-x for x in indicator_vector(sigma))
-    for p in grid.points():
-        report.checked += 1
-        symbolic = bd.contains(p)
-        if not sigma.coords:
-            probed: bool | None = d.carrier.contains(p)
-        else:
-            eps = [grid.probe, grid.probe / 2, grid.probe / 4]
-            vals = [
-                d.carrier.contains(tuple(x + e * v for x, v in zip(p, direction)))
-                for e in eps
-            ]
-            probed = _probe_agree(vals)
-        if probed is None:
-            report.inconclusive += 1
-        elif probed != symbolic:
-            report.record(p, probed, symbolic)
-    return report
+    """Upper boundary membership vs the decreasing-epsilon ray probe (at the
+    zero face the ray is the point itself)."""
+    direction = indicator_vector(sigma)
+    return _grid_check(
+        f"boundary-probe sigma={sorted(sigma.coords)}",
+        grid,
+        boundary_degrees(d, sigma).contains,
+        lambda p: _three_depths(
+            grid, lambda e: d.carrier.contains(tuple(x - e * v for x, v in zip(p, direction)))
+        ),
+    )
 
 
 def shape_consistency_check(d: Downset, grid: GridSpec, sigma: Face) -> Report:
     """``a`` in the upper boundary atop ``sigma`` iff ``sigma`` lies in the
     shape at ``a``; exact on every grid point, no probes involved."""
-    from .geometry import shape_at
-
-    bd = upper_boundary(d, sigma).carrier
-    report = Report(f"boundary-vs-shape sigma={sorted(sigma.coords)}")
-    for p in grid.points():
-        report.checked += 1
-        lhs = bd.contains(p)
-        rhs = sigma in shape_at(d, p)
-        if lhs != rhs:
-            report.record(p, rhs, lhs)
-    return report
+    return _grid_check(
+        f"boundary-vs-shape sigma={sorted(sigma.coords)}",
+        grid,
+        boundary_degrees(d, sigma).contains,
+        lambda p: sigma in shape_at(d, p),
+    )
 
 
 def _tail_cell(a: Vec, sigma: Face, depth: Fraction) -> Cell:
@@ -208,13 +210,9 @@ def _tail_cell(a: Vec, sigma: Face, depth: Fraction) -> Cell:
     cons: list[HalfSpace] = []
     for i in range(n):
         e = tuple(Fraction(1 if k == i else 0) for k in range(n))
-        neg = tuple(-c for c in e)
-        if i in sigma.coords:
-            cons.append(HalfSpace(e, a[i], True))  # x_i < a_i
-            cons.append(HalfSpace(neg, depth - a[i], False))  # x_i >= a_i - depth
-        else:
-            cons.append(HalfSpace(e, a[i], False))
-            cons.append(HalfSpace(neg, -a[i], False))
+        on_face = i in sigma.coords
+        cons.append(HalfSpace(e, a[i], on_face))  # x_i < a_i on the face, = off it
+        cons.append(HalfSpace(tuple(-c for c in e), (depth if on_face else 0) - a[i], False))
     return Cell(n, tuple(cons))
 
 
@@ -227,26 +225,57 @@ def interval_boundary_probe_check(m: Interval, sigma: Face, grid: GridSpec) -> R
     with exact containment is sound: an agreeing probe that contradicts the
     symbolic answer is a genuine engine failure.
     """
-    from .socle import boundary_degrees
 
-    bd = boundary_degrees(m, sigma)
-    report = Report(f"interval-boundary-probe sigma={sorted(sigma.coords)}")
-    for p in grid.points():
-        report.checked += 1
-        symbolic = bd.contains(p)
+    def probe(p: Vec) -> bool | None:
         if not sigma.coords:
-            probed: bool | None = m.carrier.contains(p)
-        else:
-            vals = [
-                qe.is_subset(PLSet(m.dim, (_tail_cell(p, sigma, e),)), m.carrier)
-                for e in (grid.probe, grid.probe / 2, grid.probe / 4)
-            ]
-            probed = _probe_agree(vals)
-        if probed is None:
-            report.inconclusive += 1
-        elif probed != symbolic:
-            report.record(p, probed, symbolic)
-    return report
+            return m.carrier.contains(p)
+        return _three_depths(
+            grid,
+            lambda e: qe.is_subset(PLSet(m.dim, (_tail_cell(p, sigma, e),)), m.carrier),
+        )
+
+    return _grid_check(
+        f"interval-boundary-probe sigma={sorted(sigma.coords)}",
+        grid,
+        boundary_degrees(m, sigma).contains,
+        probe,
+    )
+
+
+def boundary_degrees_direct(carrier: PLSet, sigma: Face) -> PLSet:
+    """Oracle route: boundary degrees of the module with this carrier,
+    straight from the tail condition.
+
+    ``a`` qualifies iff some ``s'`` in the relative interior of ``sigma`` has
+    the whole tail ``{a - s'' : s'' interior, s'' <= s'}`` inside the
+    carrier: two elimination layers around one complement, in ``3n``
+    variables.  Coded independently of :func:`socle.boundary_degrees`, which
+    it cross-checks in the tests.
+    """
+    n = carrier.dim
+    if not sigma.coords:
+        return carrier
+    interior = face_interior(sigma).constraints
+    zero = tuple(Fraction(0) for _ in range(n))
+    units = [tuple(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
+
+    # Blocks: a (0..n), s' (n..2n), s'' (2n..3n).  The tail: s'' interior, s'' <= s'.
+    tail = [HalfSpace(zero + zero + h.normal, h.offset, h.strict) for h in interior]
+    tail += [HalfSpace(zero + tuple(-x for x in u) + u, Fraction(0)) for u in units]
+    bad_cells = [
+        Cell(3 * n, tuple(tail) + tuple(  # a - s'' outside the carrier
+            HalfSpace(h.normal + zero + tuple(-x for x in h.normal), h.offset, h.strict)
+            for h in c.constraints
+        ))
+        for c in qe.complement(carrier).cells
+    ]
+    bad = qe.eliminate(PLSet(3 * n, tuple(bad_cells)), range(2 * n, 3 * n))
+    good = qe.complement(bad)  # pairs (a, s') whose tail stays inside
+    sprime_interior = Cell(
+        2 * n, tuple(HalfSpace(zero + h.normal, h.offset, h.strict) for h in interior)
+    )
+    restricted = qe.intersect(good, PLSet(2 * n, (sprime_interior,)))
+    return qe.canonicalize(qe.eliminate(restricted, range(n, 2 * n)))
 
 
 def sigma_closure_probe_check(
@@ -258,36 +287,28 @@ def sigma_closure_probe_check(
     three depths along the face interior; vicinity membership shrinks as the
     depth does, and agreement across the three depths is required.
     """
-    closed = sigma_closure(x, sigma, tau)
     qdim = x.dim
-    from .socle import _quotient_face
-
     s = _quotient_face(sigma, tau, qdim)
-    report = Report(
-        f"sigma-closure-probe tau={sorted(tau.coords)} sigma={sorted(sigma.coords)}"
-    )
     interior = indicator_vector(s)
     cone = upset_cone_cell(s)
-    for p in grid.points():
-        report.checked += 1
-        symbolic = closed.contains(p)
-        vals = []
-        for e in (grid.probe, grid.probe / 2, grid.probe / 4):
-            u = tuple(px - e * iv for px, iv in zip(p, interior))
-            vicinity = Cell(
-                qdim,
-                tuple(
-                    HalfSpace(h.normal, h.offset + dot(h.normal, u), h.strict)
-                    for h in cone.constraints
-                ),
-            )
-            vals.append(not qe.is_empty(qe.intersect(x, PLSet(qdim, (vicinity,)))))
-        probed = _probe_agree(vals)
-        if probed is None:
-            report.inconclusive += 1
-        elif probed != symbolic:
-            report.record(p, probed, symbolic)
-    return report
+
+    def meets_vicinity(p: Vec, e: Fraction) -> bool:
+        u = tuple(px - e * iv for px, iv in zip(p, interior))
+        vicinity = Cell(
+            qdim,
+            tuple(
+                HalfSpace(h.normal, h.offset + dot(h.normal, u), h.strict)
+                for h in cone.constraints
+            ),
+        )
+        return not qe.is_empty(qe.intersect(x, PLSet(qdim, (vicinity,))))
+
+    return _grid_check(
+        f"sigma-closure-probe tau={sorted(tau.coords)} sigma={sorted(sigma.coords)}",
+        grid,
+        sigma_closure(x, sigma, tau).contains,
+        lambda p: _three_depths(grid, lambda e: meets_vicinity(p, e)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +512,16 @@ def _verify_real(m: Downset | Interval, grid: GridSpec | None) -> list[Report]:
 
     iv = as_interval(m)
     g = grid or default_grid(iv.dim)
-    reports: list[Report] = [sample_check_membership(iv.carrier, g)]
+    if isinstance(m, Downset):
+        closed, front = qe.closure(m.carrier), frontier(m)  # raises on two-route disagreement
+        member = lambda p: closed.contains(p) and not front.contains(p)
+    else:
+        member = lambda p: iv.upset.carrier.contains(p) and iv.downset.carrier.contains(p)
+    reports = [sample_check_membership(iv.carrier, g, member)]
     if isinstance(m, Downset):
         for sigma in all_faces(iv.dim):
             reports.append(boundary_probe_check(m, sigma, g))
         reports.append(shape_consistency_check(m, g, Face(iv.dim, frozenset(range(iv.dim)))))
-        from .geometry import frontier
-
-        frontier(m)  # raises on two-route disagreement
     else:
         for sigma in all_faces(iv.dim):
             reports.append(interval_boundary_probe_check(iv, sigma, g))

@@ -205,9 +205,7 @@ def cell(dim: int, *constraints: HalfSpace) -> Cell:
 # Fourier-Motzkin --------------------------------------------------------
 
 
-def _fm_step(
-    dim: int, constraints: Sequence[HalfSpace], j: int
-) -> tuple[HalfSpace, ...] | None:
+def _fm_step(constraints: Sequence[HalfSpace], j: int) -> tuple[HalfSpace, ...] | None:
     """Project out variable ``j`` from a conjunction.  ``None`` means empty."""
     lows: list[HalfSpace] = []
     ups: list[HalfSpace] = []
@@ -232,7 +230,7 @@ def _fm_step(
 
 
 def _eliminate_vars(
-    dim: int, constraints: Sequence[HalfSpace], idxs: Iterable[int]
+    constraints: Sequence[HalfSpace], idxs: Iterable[int]
 ) -> tuple[HalfSpace, ...] | None:
     """Existentially project out all variables in ``idxs``.  ``None`` = empty."""
     current = _normalize_constraints(constraints)
@@ -249,7 +247,7 @@ def _eliminate_vars(
             if best_cost is None or cost < best_cost:
                 best_j, best_cost = j, cost
         remaining.discard(best_j)
-        current = _fm_step(dim, current, best_j)
+        current = _fm_step(current, best_j)
         if current is None:
             return None
     return current
@@ -273,7 +271,7 @@ def is_empty_cell(c: Cell) -> bool:
     if hit is not None:
         return hit
     used = {j for h in norm for j in range(c.dim) if h.normal[j] != 0}
-    result = _eliminate_vars(c.dim, norm, used) is None
+    result = _eliminate_vars(norm, used) is None
     if len(_empty_cache) >= _EMPTY_CACHE_LIMIT:
         _empty_cache.clear()
     _empty_cache[key] = result
@@ -292,7 +290,7 @@ def witness_cell(c: Cell) -> Vec | None:
     systems: list[tuple[HalfSpace, ...]] = [norm]
     current: tuple[HalfSpace, ...] | None = norm
     for j in range(c.dim):
-        current = _fm_step(c.dim, current, j)
+        current = _fm_step(current, j)
         if current is None:
             return None
         systems.append(current)
@@ -498,7 +496,7 @@ _ABSORB_LIMIT = 24
 _CONDENSE_LIMIT = 200
 
 
-def canonicalize(s: PLSet, deep: bool = True) -> PLSet:
+def canonicalize(s: PLSet) -> PLSet:
     """Cleanup pass: drop empty cells, prune redundant constraints, absorb
     cells contained in other single cells.  Purely extensional: the denoted
     set never changes.
@@ -506,30 +504,28 @@ def canonicalize(s: PLSet, deep: bool = True) -> PLSet:
     The absorb loop pays for itself: with it switched off, decomposing the
     seeded corpus (``random_downset`` n=2 seeds 0-99 and n=3 seeds
     10000-10024) took 74 s instead of 47 s on a 2-vCPU machine."""
-    if deep and s.__dict__.get("_canonical_deep"):
+    if s.__dict__.get("_canonical_deep"):
         return s
     cells_ = _light_cleanup(s.dim, s.cells)
-    if deep:
-        cells_ = tuple(_drop_redundant_constraints(c) for c in cells_)
-        cells_ = _light_cleanup(s.dim, cells_)
-        if len(cells_) <= _ABSORB_LIMIT:
-            kept: list[Cell] = []
-            for i, c in enumerate(cells_):
-                absorbed = False
-                for j, other in enumerate(cells_):
-                    if i == j:
-                        continue
-                    if _cell_subset_of_cell(c, other):
-                        # ties (mutual containment) resolved by index
-                        if not (_cell_subset_of_cell(other, c) and j > i):
-                            absorbed = True
-                            break
-                if not absorbed:
-                    kept.append(c)
-            cells_ = tuple(kept)
+    cells_ = tuple(_drop_redundant_constraints(c) for c in cells_)
+    cells_ = _light_cleanup(s.dim, cells_)
+    if len(cells_) <= _ABSORB_LIMIT:
+        kept: list[Cell] = []
+        for i, c in enumerate(cells_):
+            absorbed = False
+            for j, other in enumerate(cells_):
+                if i == j:
+                    continue
+                if _cell_subset_of_cell(c, other):
+                    # ties (mutual containment) resolved by index
+                    if not (_cell_subset_of_cell(other, c) and j > i):
+                        absorbed = True
+                        break
+            if not absorbed:
+                kept.append(c)
+        cells_ = tuple(kept)
     result = PLSet(s.dim, cells_)
-    if deep:
-        object.__setattr__(result, "_canonical_deep", True)
+    object.__setattr__(result, "_canonical_deep", True)
     return result
 
 
@@ -662,7 +658,7 @@ def exists(s: PLSet, coords: Iterable[int]) -> PLSet:
         raise DimensionMismatch(f"coordinates {sorted(idxs)} out of range for n={s.dim}")
     out: list[Cell] = []
     for c in s.cells:
-        cons = _eliminate_vars(s.dim, c.constraints, idxs)
+        cons = _eliminate_vars(c.constraints, idxs)
         if cons is not None:
             out.append(Cell(s.dim, cons))
     return PLSet(s.dim, _light_cleanup(s.dim, out))
@@ -735,7 +731,7 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
                 cons.append(
                     HalfSpace(h.normal + tuple(-c for c in h.normal), h.offset, h.strict)
                 )
-            reduced = _eliminate_vars(2 * n, cons, range(n, 2 * n))
+            reduced = _eliminate_vars(cons, range(n, 2 * n))
             if reduced is None:
                 continue
             trimmed = tuple(

@@ -6,9 +6,8 @@ outside ``tau``, persist along ``tau``, and are reached as limits along
 ``sigma`` (the inclusion-minimal such face).  Everything is computed
 degreewise on piecewise-linear carriers:
 
-* boundary degrees atop ``sigma``: for downsets the upper-boundary functor,
-  for general intervals the tail-of-net support of the direct limit along
-  the relative interior of ``sigma``;
+* boundary degrees atop ``sigma``: the upper boundary of the downset part,
+  cut down to the upset part plus the relative interior of ``sigma``;
 * the nadir stratification subtracts the boundary degrees of all smaller
   faces between ``tau`` and ``sigma``;
 * the closed-socle step keeps the degrees that are maximal modulo ``tau``.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from . import qe
@@ -45,7 +43,6 @@ from .geometry import (
     upset_cone_cell,
     zero_face,
 )
-from .qe import HalfSpace
 
 
 def _m_tau_cells(tau: Face) -> list[Cell]:
@@ -106,63 +103,41 @@ def min_along(s: PLSet, rho: Face) -> PLSet:
 # Boundary degrees
 
 
-def _interval_boundary_degrees(carrier: PLSet, sigma: Face) -> PLSet:
-    """Degrees where the direct limit along ``sigma``-interior survives.
-
-    ``a`` qualifies iff some ``s'`` in the relative interior of ``sigma`` has
-    the whole tail ``{a - s'' : s'' interior, s'' <= s'}`` inside the
-    carrier: two elimination layers around one complement.
-    """
-    n = carrier.dim
-    if not sigma.coords:
-        return carrier
-    interior = face_interior(sigma)
-    zero = tuple(Fraction(0) for _ in range(n))
-
-    def pad(h: HalfSpace, block: int) -> HalfSpace:
-        parts = [zero, zero, zero]
-        parts[block] = h.normal
-        return HalfSpace(parts[0] + parts[1] + parts[2], h.offset, h.strict)
-
-    # Blocks: a (0..n), s' (n..2n), s'' (2n..3n).
-    bad_cells = []
-    for c in qe.complement(carrier).cells:
-        cons: list[HalfSpace] = []
-        for h in interior.constraints:  # s'' interior
-            cons.append(pad(h, 2))
-        for i in range(n):  # s'' <= s' coordinatewise
-            row = [Fraction(0)] * (3 * n)
-            row[2 * n + i] = Fraction(1)
-            row[n + i] = Fraction(-1)
-            cons.append(HalfSpace(tuple(row), Fraction(0), False))
-        for h in c.constraints:  # a - s'' outside the carrier
-            cons.append(
-                HalfSpace(
-                    h.normal + zero + tuple(-x for x in h.normal), h.offset, h.strict
-                )
-            )
-        bad_cells.append(Cell(3 * n, tuple(cons)))
-    bad = qe.eliminate(PLSet(3 * n, tuple(bad_cells)), range(2 * n, 3 * n))
-    good = qe.complement(bad)  # pairs (a, s') whose tail stays inside
-    sprime_interior = Cell(
-        2 * n,
-        tuple(
-            HalfSpace(zero + h.normal, h.offset, h.strict)
-            for h in interior.constraints
-        ),
-    )
-    restricted = qe.intersect(good, PLSet(2 * n, (sprime_interior,)))
-    return qe.canonicalize(qe.eliminate(restricted, range(n, 2 * n)))
-
-
 def boundary_degrees(m: Downset | Interval, sigma: Face) -> PLSet:
-    """Support of the upper boundary atop ``sigma``."""
+    """Degrees atop ``sigma``: the ``a`` whose tail along the open face,
+    ``{a - s'' : s'' in sigma-interior, s'' <= s'}`` for some interior
+    ``s'``, lies in the module.
+
+    For an interval ``U ∩ D`` both tail conditions only improve as ``s'``
+    shrinks, so one ``s'`` serves both (take the componentwise minimum):
+
+    * the tail lies in ``D`` iff ``a - eps * 1_sigma`` lies in ``D`` for all
+      small ``eps > 0``, which is membership in the upper boundary of ``D``
+      atop ``sigma``, since ``a - s'' <= a - eps * 1_sigma`` for
+      ``eps = min_{i in sigma} s''_i``;
+    * the tail lies in ``U`` iff ``a - s'`` does for some interior ``s'``,
+      since ``U`` is an upset: that is ``a in U + sigma-interior``.
+
+    For a downset ``U + sigma-interior`` is all of ``R^n``, so the result is
+    the upper boundary itself; at the zero face it is the carrier.  The
+    result is memoized on ``m``, so a socle table and the oracle checks
+    built on the same instance share one computation per face.
+    """
+    memo = m.__dict__.setdefault("_boundary_degrees", {})
+    if sigma in memo:
+        return memo[sigma]
     if isinstance(m, Downset):
-        return upper_boundary(m, sigma).carrier
-    iv = as_interval(m)
-    if qe.equals(iv.upset.carrier, qe.universe(iv.dim)):
-        return upper_boundary(Downset(iv.carrier), sigma).carrier
-    return _interval_boundary_degrees(iv.carrier, sigma)
+        result = upper_boundary(m, sigma).carrier
+    elif not sigma.coords:
+        result = as_interval(m).carrier
+    else:
+        iv = as_interval(m)
+        result = qe.intersect(
+            upper_boundary(iv.downset, sigma).carrier,
+            qe.minkowski(iv.upset.carrier, face_interior(sigma)),
+        )
+    memo[sigma] = result
+    return result
 
 
 def interval_interior_warning(m: Interval) -> bool:
@@ -228,17 +203,6 @@ class SocleTable:
         return {k: e.cosets for k, e in self.entries.items()}
 
 
-class _BoundaryCache:
-    def __init__(self, m: Downset | Interval):
-        self.m = m
-        self._cache: dict[Face, PLSet] = {}
-
-    def get(self, sigma: Face) -> PLSet:
-        if sigma not in self._cache:
-            self._cache[sigma] = boundary_degrees(self.m, sigma)
-        return self._cache[sigma]
-
-
 def _faces_between(tau: Face, sigma: Face) -> list[Face]:
     """Faces ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma``."""
     import itertools
@@ -251,31 +215,23 @@ def _faces_between(tau: Face, sigma: Face) -> list[Face]:
     return out
 
 
-def socle_stratum(
-    m: Downset | Interval, tau: Face, sigma: Face, _cache: _BoundaryCache | None = None
-) -> PLSet:
+def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
     """Boundary degrees atop ``sigma`` minus those atop any smaller face
     containing ``tau``: the degrees whose nadir within the open star of
     ``tau`` is exactly ``sigma``."""
     if not tau.coords <= sigma.coords:
         raise FaceError("nadir must contain the face of persistence")
-    cache = _cache or _BoundaryCache(m)
-    result = cache.get(sigma)
+    result = boundary_degrees(m, sigma)
     for smaller in _faces_between(tau, sigma):
-        result = qe.difference(result, cache.get(smaller))
+        result = qe.difference(result, boundary_degrees(m, smaller))
         if not result.cells:
             break
     return qe.condense(result)
 
 
-def socle(
-    m: Downset | Interval,
-    tau: Face,
-    sigma: Face,
-    _cache: _BoundaryCache | None = None,
-) -> SocleEntry:
+def socle(m: Downset | Interval, tau: Face, sigma: Face) -> SocleEntry:
     """Socle along ``tau`` with nadir ``sigma``: degrees and their cosets."""
-    stratum = socle_stratum(m, tau, sigma, _cache)
+    stratum = socle_stratum(m, tau, sigma)
     degrees = max_along(stratum, tau)
     cosets = qe.canonicalize(project_mod(degrees, tau))
     return SocleEntry(tau, sigma, degrees, cosets)
@@ -285,12 +241,11 @@ def socle_table(m: Downset | Interval) -> SocleTable:
     iv = as_interval(m)
     if not isinstance(m, Downset):
         interval_interior_warning(iv)
-    cache = _BoundaryCache(m)
     entries: dict[tuple[Face, Face], SocleEntry] = {}
     for tau in all_faces(iv.dim):
         for sigma in all_faces(iv.dim):
             if tau.coords <= sigma.coords:
-                entries[(tau, sigma)] = socle(m, tau, sigma, cache)
+                entries[(tau, sigma)] = socle(m, tau, sigma)
     return SocleTable(iv, entries)
 
 

@@ -1,5 +1,6 @@
 """Oracle machinery: grids, probes, random generators, cross-checks."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from staircase import (
     DiscreteDownset,
     DiscreteIdeal,
     GridSpec,
+    InternalCheckFailure,
     OracleMismatch,
     ValidationError,
     all_faces,
@@ -18,12 +20,14 @@ from staircase import (
     face,
     is_downset,
     plset,
+    point_set,
     random_downset,
     random_interval,
     random_upset,
     real_staircase,
     sample_check_membership,
     socle_table,
+    union,
     verify_instance,
 )
 from staircase.oracle import (
@@ -61,6 +65,27 @@ def test_membership_mismatch_carries_witness(half_plane, closed_principal):
     assert report.mismatches[0]["point"]
     with pytest.raises(OracleMismatch):
         report.raise_if_dirty()
+
+
+def test_verify_membership_pass_catches_a_corrupted_carrier(monkeypatch):
+    # the carrier gains the grid point (1, 0), which lies outside the upset
+    # meet downset; verify's membership pass must see it before the
+    # decomposition refuses the instance
+    iv = random_interval(22000, 2, 3)
+    corner = (F(1), F(0))
+    assert not iv.carrier.contains(corner)
+    object.__setattr__(iv, "carrier", union(iv.carrier, point_set(corner)))
+    oracle = importlib.import_module("staircase.oracle")
+    passes = []
+
+    def recorded(*args, **kwargs):
+        passes.append(sample_check_membership(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(oracle, "sample_check_membership", recorded)
+    with pytest.raises(InternalCheckFailure):
+        verify_instance(iv, default_grid(2, 2))
+    assert [m["point"] for m in passes[0].mismatches] == [["1", "0"]]
 
 
 def test_boundary_probe_and_shape_checks(triangle_quotient):

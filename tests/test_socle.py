@@ -1,5 +1,6 @@
 """Cogenerator functors: socles, strata, sigma-closure, density, tops."""
 
+import importlib
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from staircase import (
     plset,
     point_set,
     random_downset,
+    random_interval,
     random_upset,
     sigma_closure,
     socle_stratum,
@@ -38,7 +40,14 @@ from staircase import (
     top_table,
     universe,
 )
-from staircase.geometry import line_cell, orthant_cell
+from staircase.geometry import (
+    as_interval,
+    line_cell,
+    orthant_cell,
+    reflect_interval,
+    upper_boundary,
+)
+from staircase.oracle import boundary_degrees_direct, boundary_probe_check, default_grid
 from staircase.qe import minkowski
 from staircase.socle import boundary_degrees, top_direct, validate_socle_table
 
@@ -179,28 +188,69 @@ def test_density_self_check_with_positive_dimensional_faces(
         assert is_dense_family(table2.cosets_family(), table2)
 
 
-def test_interval_boundary_matches_downset_route(half_plane, triangle_quotient):
-    # the tail-of-net formula and the slice-closure algorithm must agree on
-    # genuine downsets
-    from staircase.socle import _interval_boundary_degrees
+# Genuine intervals (n=2 and n=3), reflected upsets and downsets; the two
+# downset fixtures are added as cases below.
+BOUNDARY_CASES = (
+    [("interval", s, 2, 3) for s in range(22000, 22006)]
+    + [("interval", s, 3, 3) for s in (22010, 22011, 22012)]
+    + [("reflected-upset", s, 2, 4) for s in (21000, 21003)]
+    + [("downset", s, 2, 4) for s in (300, 301)]
+)
 
-    for d in (half_plane, triangle_quotient):
-        for sigma in all_faces(2):
-            a = boundary_degrees(d, sigma)
-            b = _interval_boundary_degrees(d.carrier, sigma)
-            assert equals(a, b), (sigma,)
+
+def _boundary_case(kind, seed, n, cells):
+    if kind == "interval":
+        return random_interval(seed, n, cells)
+    if kind == "downset":
+        return random_downset(seed, n, cells)
+    return reflect_interval(as_interval(random_upset(seed, n, cells)))
+
+
+def _assert_boundary_routes_agree(m):
+    for sigma in all_faces(m.dim):
+        assert equals(boundary_degrees(m, sigma), boundary_degrees_direct(m.carrier, sigma)), (
+            sorted(sigma.coords)
+        )
+
+
+@pytest.mark.parametrize(
+    "case",
+    BOUNDARY_CASES + ["half_plane", "triangle_quotient"],
+    ids=lambda case: case if isinstance(case, str) else "{}-{}-n{}".format(*case),
+)
+def test_boundary_degrees_match_oracle_route(case, request):
+    # one formula for every module against the literal 3n-variable tail
+    # condition of the oracle route
+    if isinstance(case, str):
+        m = request.getfixturevalue(case)
+    else:
+        m = _boundary_case(*case)
+    _assert_boundary_routes_agree(m)
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(0, 10_000))
-def test_interval_boundary_route_fuzz(seed):
-    from staircase.socle import _interval_boundary_degrees
+@given(st.sampled_from(("interval", "reflected-upset", "downset")), st.integers(0, 10_000))
+def test_boundary_degrees_oracle_route_fuzz(kind, seed):
+    _assert_boundary_routes_agree(_boundary_case(kind, seed + 300, 2, 3))
 
-    d = random_downset(seed + 300, 2, 4)
+
+def test_boundary_probes_share_the_socle_tables_boundaries(monkeypatch):
+    # the oracle probes and the socle table read one per-instance memo, so
+    # the table builds no upper boundary of its own
+    d = random_downset(7, 2, 8)
+    g = default_grid(2, 2)
     for sigma in all_faces(2):
-        a = boundary_degrees(d, sigma)
-        b = _interval_boundary_degrees(d.carrier, sigma)
-        assert equals(a, b), (seed, sigma)
+        boundary_probe_check(d, sigma, g)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return upper_boundary(*args)
+
+    for module in ("staircase.socle", "staircase.geometry"):
+        monkeypatch.setattr(importlib.import_module(module), "upper_boundary", counted)
+    socle_table(d)
+    assert calls == []
 
 
 def test_triangle_plus_ray_socle(triangle_plus_ray):
