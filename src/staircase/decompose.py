@@ -18,7 +18,6 @@ from typing import Mapping
 from . import qe
 from .errors import FaceError, InternalCheckFailure
 from .geometry import (
-    Cell,
     Downset,
     Face,
     Interval,
@@ -44,7 +43,7 @@ def coprincipal(a: PLSet, tau: Face, sigma: Face) -> Downset:
     if tau.dim != a.dim or sigma.dim != a.dim:
         raise FaceError("face dimension mismatch")
     swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
-    hang = Cell(a.dim, tuple(h.reflected() for h in upset_cone_cell(sigma).constraints))
+    hang = upset_cone_cell(sigma).reflected()
     return Downset(qe.condense(qe.minkowski(swept, hang)))
 
 

@@ -421,10 +421,7 @@ def localize(d: Downset, tau: Face) -> Downset:
         raise DimensionMismatch("face dimension mismatch")
     if not tau.coords:
         return d
-    bad = qe.minkowski(
-        qe.complement(d.carrier),
-        Cell(d.dim, tuple(h.reflected() for h in cone_cell(tau).constraints)),
-    )
+    bad = qe.minkowski(qe.complement(d.carrier), cone_cell(tau).reflected())
     result = qe.canonicalize(qe.complement(bad))
     loc = Downset(result)
     if not qe.equals(result, qe.minkowski(result, line_cell(tau))):
@@ -473,9 +470,5 @@ def lower_boundary_direct(u: Upset, xi: Face) -> Upset:
         raise DimensionMismatch("face dimension mismatch")
     if not xi.coords:
         return u
-    interior = face_interior(xi)
-    bad = qe.minkowski(
-        qe.complement(u.carrier),
-        Cell(u.dim, tuple(h.reflected() for h in interior.constraints)),
-    )
+    bad = qe.minkowski(qe.complement(u.carrier), face_interior(xi).reflected())
     return Upset(qe.canonicalize(qe.complement(bad)))

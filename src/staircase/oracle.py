@@ -367,10 +367,9 @@ def random_downset(seed: int, n: int, cell_budget: int = 6) -> Downset:
                     ),
                 )
             sigma = Face(n, frozenset(i for i in range(n) if rng.random() < 0.5))
-            hang = Cell(
-                n, tuple(h.reflected() for h in upset_cone_cell(sigma).constraints)
+            closed_down = qe.minkowski(
+                PLSet(n, (stack,)), upset_cone_cell(sigma).reflected()
             )
-            closed_down = qe.minkowski(PLSet(n, (stack,)), hang)
             cells.extend(closed_down.cells)
         candidate = qe.canonicalize(PLSet(n, tuple(cells)))
         if 0 < len(candidate.cells) <= cell_budget:

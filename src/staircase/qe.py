@@ -190,6 +190,10 @@ class Cell:
             )
         return all(h.holds(point) for h in self.constraints)
 
+    def reflected(self) -> "Cell":
+        """The cell ``{-x : x in self}``; constraint order is kept."""
+        return Cell(self.dim, tuple(h.reflected() for h in self.constraints))
+
     def key(self) -> tuple:
         cached = self.__dict__.get("_key")
         if cached is None:
@@ -398,52 +402,10 @@ def witness(s: PLSet) -> Vec | None:
     return None
 
 
-def _negated_key(hkey: tuple) -> tuple:
-    ints, (p, q), strict = hkey
-    return (tuple(-v for v in ints), (-p, q), not strict)
-
-
-def _merge_complementary(dim: int, cells_: list[Cell]) -> list[Cell]:
-    """Collapse pairs of cells that differ by one complementary constraint:
-    ``(A and h) union (A and not-h) = A``.  Difference sweeps fragment sets
-    into exactly such pairs, so iterating to a fixpoint undoes the blowup."""
-    items = {c.key(): c for c in cells_}
-    changed = True
-    while changed and len(items) > 1:
-        changed = False
-        buckets: dict[tuple, list[tuple[tuple, Cell, HalfSpace]]] = {}
-        for c in items.values():
-            keyset = c.key()[1]
-            for h in c.constraints:
-                hk = h.key()
-                signature = (dim, keyset - {hk})
-                buckets.setdefault(signature, []).append((hk, c, h))
-        for signature, entries in buckets.items():
-            if len(entries) < 2:
-                continue
-            by_key = {hk: (c, h) for hk, c, h in entries}
-            for hk, (c, h) in list(by_key.items()):
-                partner = by_key.get(_negated_key(hk))
-                if partner is None:
-                    continue
-                c2, _ = partner
-                if c.key() not in items or c2.key() not in items:
-                    continue
-                merged = Cell(dim, tuple(g for g in c.constraints if g.key() != hk))
-                del items[c.key()]
-                del items[c2.key()]
-                items.setdefault(merged.key(), merged)
-                changed = True
-                break
-            if changed:
-                break
-    return list(items.values())
-
-
 # Light structural cleanup: normalize constraints, drop empty cells, dedup,
-# merge complementary splits, and drop cells syntactically contained in
-# another (more constraints = smaller).  This is the one place where the
-# boolean operations normalize and emptiness-check the cells they build.
+# and drop cells syntactically contained in another (more constraints =
+# smaller).  This is the one place where the boolean operations normalize
+# and emptiness-check the cells they build.
 def _light_cleanup(dim: int, cells_: Iterable[Cell]) -> tuple[Cell, ...]:
     seen: dict[tuple, Cell] = {}
     for c in cells_:
@@ -454,7 +416,7 @@ def _light_cleanup(dim: int, cells_: Iterable[Cell]) -> tuple[Cell, ...]:
         if is_empty_cell(cc):
             continue
         seen.setdefault(cc.key(), cc)
-    items = _merge_complementary(dim, list(seen.values()))
+    items = list(seen.values())
     keysets = [c.key()[1] for c in items]
     keep: list[Cell] = []
     for i, c in enumerate(items):
@@ -490,10 +452,9 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
     return Cell(c.dim, tuple(cons))
 
 
-# Cell counts up to which canonicalize runs its pairwise absorb loop and
-# condense its covering pass; both passes are quadratic in the cell count.
+# Cell count up to which canonicalize runs its pairwise absorb loop, which
+# is quadratic in the cell count.
 _ABSORB_LIMIT = 24
-_CONDENSE_LIMIT = 200
 
 
 def canonicalize(s: PLSet) -> PLSet:
@@ -503,7 +464,7 @@ def canonicalize(s: PLSet) -> PLSet:
 
     The absorb loop pays for itself: with it switched off, decomposing the
     seeded corpus (``random_downset`` n=2 seeds 0-99 and n=3 seeds
-    10000-10024) took 74 s instead of 47 s on a 2-vCPU machine."""
+    10000-10024) took 54 s instead of 22 s on a 2-vCPU machine."""
     if s.__dict__.get("_canonical_deep"):
         return s
     cells_ = _light_cleanup(s.dim, s.cells)
@@ -530,41 +491,15 @@ def canonicalize(s: PLSet) -> PLSet:
 
 
 def condense(s: PLSet) -> PLSet:
-    """Stronger cleanup: additionally drop every cell covered by the union
-    of the remaining cells.  Difference sweeps fragment a set into many
-    overlapping slabs; this pass restores an irredundant cover.  Quadratic
-    with an intersection prefilter, so it is applied at choke points rather
-    than after every operation.
+    """The cleanup applied at choke points: :func:`canonicalize`.
 
-    It keeps cell counts from blowing up at those choke points.  With
-    condense reduced to :func:`canonicalize`, decomposing the seeded n=2
-    corpus got faster (10.6 s to 7.4 s on a 2-vCPU machine), but n=3 seed
-    10010 went from 7.8 s to 47.4 s and seed 10014 from 12.5 s to not
-    finishing within 7 minutes."""
-    s = canonicalize(s)
-    cells_ = list(s.cells)
-    if not 1 < len(cells_) <= _CONDENSE_LIMIT:
-        return s
-    # slivers (more constraints) are the most likely to be redundant
-    cells_.sort(key=lambda c: -len(c.constraints))
-    i = 0
-    while i < len(cells_):
-        piece = cells_[i]
-        touching = [
-            c
-            for j, c in enumerate(cells_)
-            if j != i
-            and not is_empty_cell(Cell(s.dim, piece.constraints + c.constraints))
-        ]
-        if touching and difference_witness(
-            PLSet(s.dim, (piece,)), PLSet(s.dim, tuple(touching))
-        ) is None:
-            cells_.pop(i)
-        else:
-            i += 1
-    result = PLSet(s.dim, tuple(cells_))
-    object.__setattr__(result, "_canonical_deep", True)
-    return result
+    The name stays because the benchmark's traced run counts calls under
+    ``qe.condense``.  A covering pass that drops every cell covered by the
+    union of the others does not pay here, since the difference sweep
+    leaves the pieces a subtrahend misses unsplit: with that pass,
+    decomposing the seeded corpus (as in :func:`canonicalize`) took 34 s
+    instead of 22 s on a 2-vCPU machine."""
+    return canonicalize(s)
 
 
 # Boolean operations -----------------------------------------------------
@@ -591,15 +526,18 @@ def _subtract_cells(
 ) -> list[Cell]:
     """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty.
 
-    ``p \\ b`` is covered by the cells ``p and not-h`` for the constraints
-    ``h`` of ``b``.  The budget counts these candidates before the cleanup
-    drops the empty ones."""
+    A piece ``p`` that ``b`` misses passes unchanged; otherwise ``p \\ b``
+    is covered by the cells ``p and not-h`` for the constraints ``h`` of
+    ``b``.  The budget counts the pieces passed on and these candidates
+    before the cleanup drops the empty ones."""
     for b in cells_:
-        nxt = [
-            Cell(dim, p.constraints + (h.negated(),))
-            for p in pieces
-            for h in b.constraints
-        ]
+        nxt: list[Cell] = []
+        for p in pieces:
+            if is_empty_cell(Cell(dim, p.constraints + b.constraints)):
+                nxt.append(p)
+            else:
+                nxt.extend(Cell(dim, p.constraints + (h.negated(),))
+                           for h in b.constraints)
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(dim, nxt))
         if not pieces:
@@ -700,12 +638,7 @@ def closure(s: PLSet) -> PLSet:
 
 def reflect(s: PLSet) -> PLSet:
     """The pointwise negation ``{-x : x in s}``."""
-    return PLSet(
-        s.dim,
-        tuple(
-            Cell(s.dim, tuple(h.reflected() for h in c.constraints)) for c in s.cells
-        ),
-    )
+    return PLSet(s.dim, tuple(c.reflected() for c in s.cells))
 
 
 def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:

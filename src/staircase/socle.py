@@ -65,16 +65,10 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
     s = qe.condense(s)
     escape_cells: list[Cell] = []
     for k in _m_tau_cells(tau):
-        escaped = qe.minkowski(
-            s, Cell(s.dim, tuple(h.reflected() for h in k.constraints))
-        )
-        escape_cells.extend(escaped.cells)
+        escape_cells.extend(qe.minkowski(s, k.reflected()).cells)
     result = qe.difference(s, qe.condense(PLSet(s.dim, tuple(escape_cells))))
     if result.cells and tau.coords:
-        unstable = qe.minkowski(
-            qe.complement(s),
-            Cell(s.dim, tuple(h.reflected() for h in cone_cell(tau).constraints)),
-        )
+        unstable = qe.minkowski(qe.complement(s), cone_cell(tau).reflected())
         result = qe.difference(result, qe.condense(unstable))
     return qe.condense(result)
 
@@ -305,7 +299,7 @@ def sigma_closure(x: PLSet, sigma: Face, tau: Face) -> PLSet:
             f"expected a set in the quotient of dimension {qdim}, got {x.dim}"
         )
     s = _quotient_face(sigma, tau, qdim)
-    hang = Cell(qdim, tuple(h.reflected() for h in upset_cone_cell(s).constraints))
+    hang = upset_cone_cell(s).reflected()
     downset = Downset(qe.minkowski(x, hang))
     return upper_boundary(downset, s).carrier
 

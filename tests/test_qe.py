@@ -35,7 +35,13 @@ from staircase import (
     universe,
     witness,
 )
-from staircase.qe import _normalize_constraints, is_empty_cell, witness_cell
+from staircase.qe import (
+    _normalize_constraints,
+    condense,
+    difference_witness,
+    is_empty_cell,
+    witness_cell,
+)
 
 from conftest import hs, rational_grid
 
@@ -375,8 +381,47 @@ def test_operation_outputs_are_nonempty_and_normalized(seed, n):
         "minkowski": minkowski(s, k.cells[0]),
         "exists": exists(s, {rng.randrange(n)}),
         "closure": closure(s),
+        "condense": condense(union(s, t)),
+        "canonicalize": canonicalize(union(s, t)),
     }
     for name, out in outputs.items():
         for c in out.cells:
             assert not is_empty_cell(c), name
             assert _normalize_constraints(c.constraints) == c.constraints, name
+
+
+def test_difference_leaves_cells_the_subtrahend_misses_alone():
+    s = canonicalize(plset(2, cell(2, hs([1, 0], 0), hs([0, 1], 0))))
+    t = plset(2, cell(2, hs([-1, -1], -1)))  # x + y >= 1 misses s
+    assert difference(s, t).cells == s.cells
+
+
+def _reference_difference(s, t):
+    """Oracle: the plain sweep, which splits every piece by every
+    constraint of every subtrahend cell, whether the cell meets the piece
+    or not."""
+    pieces = [c for c in s.cells if not is_empty_cell(c)]
+    for b in t.cells:
+        pieces = [
+            Cell(s.dim, p.constraints + (h.negated(),))
+            for p in pieces
+            for h in b.constraints
+        ]
+        pieces = [p for p in pieces if not is_empty_cell(p)]
+    return PLSet(s.dim, tuple(pieces))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_difference_matches_reference_sweep(seed, n):
+    rng = random.Random(seed)
+    s, t = _seeded_plset(rng, n), _seeded_plset(rng, n)
+    expected = _reference_difference(s, t)
+    got = difference(s, t)
+    assert equals(got, expected)
+    for p in rational_grid([-2] * n, [2] * n, Fraction(1, 2)):
+        assert got.contains(p) == expected.contains(p), p
+    w = difference_witness(s, t)
+    assert (w is None) == is_empty(expected)
+    if w is not None:
+        assert s.contains(w) and not t.contains(w)
