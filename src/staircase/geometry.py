@@ -158,7 +158,7 @@ def _axis_cell(conditions: list[str]) -> Cell:
     cons = []
     for i, condition in enumerate(conditions):
         for sign, strict in _AXIS_CONDITIONS[condition]:
-            normal = tuple(Fraction(sign if k == i else 0) for k in range(n))
+            normal = tuple(sign if k == i else 0 for k in range(n))
             cons.append(HalfSpace(normal, Fraction(0), strict))
     return Cell(n, tuple(cons))
 

@@ -165,18 +165,14 @@ def _three_depths(grid: GridSpec, holds: Callable[[Fraction], bool]) -> bool | N
 def sample_check_membership(
     s: PLSet,
     grid: GridSpec,
-    predicate: Callable[[Vec], bool] | None = None,
+    predicate: Callable[[Vec], bool],
     name: str = "membership",
 ) -> Report:
-    """Compare symbolic membership in ``s`` with ``predicate`` gridwise.
-
-    With the default predicate this checks direct constraint evaluation
-    against itself (a sanity pass); callers supply the independent predicate
-    for derived sets.
-    """
+    """Compare symbolic membership in ``s`` with an independent ``predicate``
+    gridwise."""
     if grid.dim != s.dim:
         raise ValidationError("grid dimension mismatch")
-    return _grid_check(name, grid, s.contains, predicate or s.contains)
+    return _grid_check(name, grid, s.contains, predicate)
 
 
 def boundary_probe_check(d: Downset, sigma: Face, grid: GridSpec) -> Report:
@@ -209,7 +205,7 @@ def _tail_cell(a: Vec, sigma: Face, depth: Fraction) -> Cell:
     n = sigma.dim
     cons: list[HalfSpace] = []
     for i in range(n):
-        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
+        e = tuple(1 if k == i else 0 for k in range(n))
         on_face = i in sigma.coords
         cons.append(HalfSpace(e, a[i], on_face))  # x_i < a_i on the face, = off it
         cons.append(HalfSpace(tuple(-c for c in e), (depth if on_face else 0) - a[i], False))
@@ -256,8 +252,8 @@ def boundary_degrees_direct(carrier: PLSet, sigma: Face) -> PLSet:
     if not sigma.coords:
         return carrier
     interior = face_interior(sigma).constraints
-    zero = tuple(Fraction(0) for _ in range(n))
-    units = [tuple(Fraction(1 if k == i else 0) for k in range(n)) for i in range(n)]
+    zero = (0,) * n
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
 
     # Blocks: a (0..n), s' (n..2n), s'' (2n..3n).  The tail: s'' interior, s'' <= s'.
     tail = [HalfSpace(zero + zero + h.normal, h.offset, h.strict) for h in interior]
@@ -324,9 +320,9 @@ def _random_fraction(rng: random.Random, span: int = 3, denominators=(1, 1, 2, 4
 def _random_halfspace(rng: random.Random, n: int, nonnegative_normal: bool) -> HalfSpace:
     while True:
         if nonnegative_normal:
-            normal = tuple(Fraction(rng.randint(0, 2)) for _ in range(n))
+            normal = tuple(rng.randint(0, 2) for _ in range(n))
         else:
-            normal = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+            normal = tuple(rng.randint(-2, 2) for _ in range(n))
         if any(c != 0 for c in normal):
             break
     return HalfSpace(normal, _random_fraction(rng), rng.random() < 0.5)
@@ -357,9 +353,7 @@ def random_downset(seed: int, n: int, cell_budget: int = 6) -> Downset:
                     n,
                     tuple(
                         HalfSpace(
-                            tuple(
-                                Fraction(1 if k == i else 0) for k in range(n)
-                            ),
+                            tuple(1 if k == i else 0 for k in range(n)),
                             point[i],
                             rng.random() < 0.5,
                         )
@@ -406,7 +400,7 @@ def real_staircase(decomposition: DiscreteDecomposition) -> Downset:
         for rep in reps:
             cons = tuple(
                 HalfSpace(
-                    tuple(Fraction(1 if k == j else 0) for k in range(n)),
+                    tuple(1 if k == j else 0 for k in range(n)),
                     Fraction(rep[j]),
                     False,
                 )

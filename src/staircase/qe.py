@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import CellLimitExceeded, DimensionMismatch, StaircaseError
@@ -56,21 +56,32 @@ def _check_budget(count: int, where: str) -> None:
 class HalfSpace:
     """``{x : normal . x < offset}`` when strict, ``<=`` otherwise.
 
-    A zero normal is the canonical TRUE/FALSE constraint; the sign of the
-    offset decides which.
+    Stored in canonical form: ``normal`` is a primitive integer tuple (gcd
+    1, or all zero) and ``offset`` is scaled by the unique positive factor
+    that makes it so.  Two half-spaces with nonzero normals are therefore
+    ``==`` exactly when they denote the same set, so the value itself is
+    the dedup and cache key.  A zero normal is the canonical TRUE/FALSE
+    constraint; the sign of the offset decides which.
     """
 
-    normal: Vec
+    normal: tuple[int, ...]
     offset: Fraction
     strict: bool = False
 
     def __post_init__(self) -> None:
-        normal = self.normal if isinstance(self.normal, tuple) else tuple(self.normal)
-        if not all(type(x) is Fraction for x in normal):
-            normal = vec(normal)
+        normal = self.normal if type(self.normal) is tuple else tuple(self.normal)
+        offset = self.offset if type(self.offset) is Fraction else frac(self.offset)
+        if not all(type(c) is int for c in normal):
+            rats = vec(normal)
+            scale = lcm(*(c.denominator for c in rats))
+            normal = tuple(c.numerator * (scale // c.denominator) for c in rats)
+            offset *= scale
+        g = gcd(*normal)
+        if g > 1:
+            normal = tuple(c // g for c in normal)
+            offset /= g
         object.__setattr__(self, "normal", normal)
-        if type(self.offset) is not Fraction:
-            object.__setattr__(self, "offset", frac(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dim(self) -> int:
@@ -89,13 +100,7 @@ class HalfSpace:
 
     def negated(self) -> "HalfSpace":
         """Complementary half-space; strictness flips."""
-        cached = self.__dict__.get("_neg")
-        if cached is None:
-            cached = HalfSpace(
-                tuple(-c for c in self.normal), -self.offset, not self.strict
-            )
-            object.__setattr__(self, "_neg", cached)
-        return cached
+        return HalfSpace(tuple(-c for c in self.normal), -self.offset, not self.strict)
 
     def relaxed(self) -> "HalfSpace":
         return self if not self.strict else HalfSpace(self.normal, self.offset, False)
@@ -105,36 +110,11 @@ class HalfSpace:
 
     def reflected(self) -> "HalfSpace":
         """Constraint satisfied by ``-x`` exactly when ``self`` holds at ``x``."""
-        return HalfSpace(vec(-c for c in self.normal), self.offset, self.strict)
-
-    def key(self) -> tuple:
-        """Canonical scaled form: primitive integer normal, exact offset.
-
-        The positive scale making the normal primitive is unique, so two
-        half-spaces get the same key iff they denote the same set of points.
-        Cached on first use; the dataclass is frozen so this is safe.
-        """
-        cached = self.__dict__.get("_key")
-        if cached is not None:
-            return cached
-        scale = 1
-        for c in self.normal:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in self.normal]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-            scale = Fraction(scale, g)
-        off = self.offset * scale
-        key = (tuple(ints), (off.numerator, off.denominator), self.strict)
-        object.__setattr__(self, "_key", key)
-        return key
+        return HalfSpace(tuple(-c for c in self.normal), self.offset, self.strict)
 
 
 def halfspace(normal: Iterable[Rat], offset: Rat, strict: bool = False) -> HalfSpace:
-    return HalfSpace(vec(normal), frac(offset), strict)
+    return HalfSpace(tuple(normal), offset, strict)
 
 
 def _normalize_constraints(
@@ -142,26 +122,21 @@ def _normalize_constraints(
 ) -> tuple[HalfSpace, ...] | None:
     """Drop trivial constraints, dedup, keep the tightest of parallel bounds.
 
-    Works on the canonical keys alone.  Returns ``None`` when a constant
-    contradiction makes the cell empty.
+    Returns ``None`` when a constant contradiction makes the cell empty.
     """
-    by_normal: dict[tuple, tuple[int, int, bool, HalfSpace]] = {}
+    by_normal: dict[tuple[int, ...], HalfSpace] = {}
     for h in constraints:
-        nk, (p, q), strict = h.key()
-        if not any(nk):
+        if not any(h.normal):
             if not h.constant_truth():
                 return None
             continue
-        prev = by_normal.get(nk)
-        if prev is None:
-            by_normal[nk] = (p, q, strict, h)
-        else:
-            pp, pq, pstrict, _ = prev
-            # Smaller offset p/q is tighter (denominators are positive); on
-            # ties a strict bound wins.
-            if p * pq < pp * q or (p * pq == pp * q and strict and not pstrict):
-                by_normal[nk] = (p, q, strict, h)
-    return tuple(entry[3] for entry in by_normal.values())
+        prev = by_normal.get(h.normal)
+        # Smaller offset is tighter; on ties a strict bound wins.
+        if prev is None or h.offset < prev.offset or (
+            h.offset == prev.offset and h.strict and not prev.strict
+        ):
+            by_normal[h.normal] = h
+    return tuple(by_normal.values())
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +172,7 @@ class Cell:
     def key(self) -> tuple:
         cached = self.__dict__.get("_key")
         if cached is None:
-            cached = (self.dim, frozenset(h.key() for h in self.constraints))
+            cached = (self.dim, frozenset(self.constraints))
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -270,7 +245,7 @@ def is_empty_cell(c: Cell) -> bool:
     norm = _normalize_constraints(c.constraints)
     if norm is None:
         return True
-    key = (c.dim, frozenset(h.key() for h in norm))
+    key = (c.dim, frozenset(norm))
     hit = _empty_cache.get(key)
     if hit is not None:
         return hit
@@ -357,7 +332,11 @@ class PLSet:
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         pt = vec(point)
-        return any(c.contains(pt) for c in self.cells)
+        if len(pt) != self.dim:
+            raise DimensionMismatch(
+                f"point of dimension {len(pt)} in PL set of dimension {self.dim}"
+            )
+        return any(all(h.holds(pt) for h in c.constraints) for c in self.cells)
 
 
 def plset(dim: int, *cells_: Cell) -> PLSet:
@@ -377,7 +356,7 @@ def point_set(point: Iterable[Rat]) -> PLSet:
     n = len(p)
     cons = []
     for i in range(n):
-        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
+        e = tuple(1 if k == i else 0 for k in range(n))
         cons.append(HalfSpace(e, p[i], False))
         cons.append(HalfSpace(tuple(-c for c in e), -p[i], False))
     return PLSet(n, (Cell(n, tuple(cons)),))
@@ -585,7 +564,7 @@ def equals(s: PLSet, t: PLSet) -> bool:
 # Projection / closure / reflection / Minkowski sums ---------------------
 
 
-def _delete_coords(v: Vec, coords: frozenset[int]) -> Vec:
+def _delete_coords(v: tuple[int, ...], coords: frozenset[int]) -> tuple[int, ...]:
     return tuple(x for i, x in enumerate(v) if i not in coords)
 
 
@@ -653,7 +632,7 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
     if kdim != s.dim:
         raise DimensionMismatch(f"minkowski of dimensions {s.dim} and {kdim}")
     n = s.dim
-    zero = tuple(Fraction(0) for _ in range(n))
+    zero = (0,) * n
     out: list[Cell] = []
     for a in s.cells:
         for b in kcells:

@@ -1,8 +1,9 @@
 """Exact rational scalars and vectors.
 
-Every coordinate and coefficient in the engine is a ``fractions.Fraction``;
-floats are rejected wherever user data enters, so all predicates downstream
-stay decidable.
+Every coordinate in the engine is a ``fractions.Fraction``, and every
+half-space normal a primitive integer tuple (see ``qe.HalfSpace``); floats
+are rejected wherever user data enters, so all predicates downstream stay
+decidable.
 """
 
 from __future__ import annotations
@@ -40,13 +41,22 @@ def vec(xs: Iterable[Rat]) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
+    """Exact dot product of int or ``Fraction`` entries.
+
+    Sums one unreduced numerator/denominator pair over the nonzero terms and
+    builds a single ``Fraction`` at the end: every ``int * Fraction`` step
+    would cost as much as a ``Fraction`` one.
+    """
     if len(u) != len(v):
         raise ValueError(f"dot of vectors with lengths {len(u)} != {len(v)}")
-    total = Fraction(0)
+    num, den = 0, 1
     for a, b in zip(u, v):
-        total += a * b
-    return total
+        if a and b:
+            d = a.denominator * b.denominator
+            num = num * d + a.numerator * b.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> int | str:

@@ -53,7 +53,9 @@ def test_gridspec_invariants():
 
 
 def test_membership_self_check(half_plane):
-    report = sample_check_membership(half_plane.carrier, default_grid(2, 2))
+    report = sample_check_membership(
+        half_plane.carrier, default_grid(2, 2), lambda p: p[0] + p[1] < 1
+    )
     assert report.clean and report.checked > 0
 
 

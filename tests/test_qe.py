@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +37,15 @@ from staircase import (
     witness,
 )
 from staircase.qe import (
+    HalfSpace,
     _normalize_constraints,
     condense,
     difference_witness,
     is_empty_cell,
     witness_cell,
 )
+
+from staircase.rationals import dot
 
 from conftest import hs, rational_grid
 
@@ -77,6 +81,9 @@ def test_dimension_mismatch_rejected():
         intersect(universe(1), universe(2))
     with pytest.raises(DimensionMismatch):
         eliminate(universe(2), {5})
+    for s in (empty(2), universe(2)):
+        with pytest.raises(DimensionMismatch):
+            s.contains((F(1),))
 
 
 def test_cell_limit_guard():
@@ -258,6 +265,35 @@ def _halfspaces(n):
         _rat,
         st.booleans(),
     )
+
+
+_q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_entry = st.one_of(st.integers(-4, 4), _q, st.just(0), st.just(Fraction(0)))
+_scale = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)))
+
+
+def _canonical_case(n):
+    row = st.lists(_entry, min_size=n, max_size=n)
+    return st.tuples(
+        row.filter(any), _entry, st.booleans(), _scale, st.lists(row, min_size=1, max_size=4)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_canonical_case))
+def test_halfspace_canonical_form_matches_fraction_reference(case):
+    # Rows are scaled to a primitive integer normal on construction; the
+    # slow reference here works on the row exactly as the caller wrote it.
+    a, b, strict, k, points = case
+    h = HalfSpace(tuple(a), b, strict)
+    assert HalfSpace(tuple(k * x for x in a), k * b, strict) == h
+    assert type(h.normal) is tuple and all(type(c) is int for c in h.normal)
+    assert gcd(*h.normal) == 1 and type(h.offset) is Fraction
+    for p in points:
+        value = sum((Fraction(x) * Fraction(y) for x, y in zip(a, p)), Fraction(0))
+        assert h.holds(p) == (value < b if strict else value <= b)
+        assert dot(a, p) == value and type(dot(a, p)) is Fraction
+        assert dot(h.normal, p) == sum(Fraction(x) * Fraction(y) for x, y in zip(h.normal, p))
 
 
 def _plsets(n, max_cells=3, max_cons=2):
