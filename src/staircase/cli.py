@@ -153,6 +153,10 @@ def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.cell_limit is not None:
+            if args.cell_limit < 1:
+                raise InputFormatError(
+                    f"--cell-limit: expected a positive integer, got {args.cell_limit}"
+                )
             qe.set_cell_limit(args.cell_limit)
         return _dispatch(args)
     except (InternalCheckFailure, OracleMismatch) as exc:

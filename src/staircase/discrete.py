@@ -186,14 +186,6 @@ class DiscreteDecomposition:
         return out
 
 
-def _piece_contains(
-    ideal: DiscreteIdeal, tau: frozenset[int], rep: IVec, a: Sequence[int]
-) -> bool:
-    if not DiscreteDownset(ideal).in_interval(a):
-        return False
-    return all(a[j] <= rep[j] for j in range(ideal.dim) if j not in tau)
-
-
 def _scan_box(lo: int, his: Sequence[int]) -> Iterable[IVec]:
     return itertools.product(*(range(lo, h + 1) for h in his))
 
@@ -238,16 +230,13 @@ def discrete_irreducible_decomposition(
 def is_irredundant(d: DiscreteDownset, pieces: Sequence[tuple[frozenset[int], IVec]]) -> bool:
     """Each irreducible piece contains an interval point no other piece has."""
     bound = d.ideal.bound()
-    for i, (tau, rep) in enumerate(pieces):
+    comps = [DiscreteComponent(d.ideal, tau, (rep,)) for tau, rep in pieces]
+    for i, comp in enumerate(comps):
         found = False
         for a in _scan_box(0, tuple(b + 1 for b in bound)):
-            if not _piece_contains(d.ideal, tau, rep, a):
+            if not comp.contains(a):
                 continue
-            if not any(
-                _piece_contains(d.ideal, t2, r2, a)
-                for j, (t2, r2) in enumerate(pieces)
-                if j != i
-            ):
+            if not any(other.contains(a) for j, other in enumerate(comps) if j != i):
                 found = True
                 break
         if not found:

@@ -342,8 +342,8 @@ def _relatively_open_pieces(c: Cell) -> list[Cell]:
     piece is an open subset of the affine span of its equalities.  Empty
     branches are pruned as soon as a partial conjunction is contradictory.
     """
-    nonstrict = [h for h in c.constraints if not h.strict and not h.is_zero_normal()]
-    base = [h for h in c.constraints if h.strict or h.is_zero_normal()]
+    nonstrict = [h for h in c.constraints if not h.strict]
+    base = [h for h in c.constraints if h.strict]
     pieces: list[Cell] = []
 
     def rec(i: int, acc: list[HalfSpace]) -> None:
@@ -383,9 +383,9 @@ def upper_boundary(d: Downset, sigma: Face) -> Downset:
     for c in d.carrier.cells:
         for piece in _relatively_open_pieces(c):
             cyl = qe.exists(PLSet(d.dim, (piece,)), sigma.coords)
-            closed = Cell(d.dim, tuple(h.relaxed() for h in piece.constraints))
+            closed = tuple(h.relaxed() for h in piece.constraints)
             for cylcell in cyl.cells:
-                out.append(Cell(d.dim, closed.constraints + cylcell.constraints))
+                out.append(Cell(d.dim, closed + cylcell.constraints))
     result = qe.canonicalize(PLSet(d.dim, tuple(out)))
     if not qe.is_subset(d.carrier, result):
         raise InternalCheckFailure("upper boundary lost points of the downset")

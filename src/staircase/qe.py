@@ -145,18 +145,28 @@ def _normalize_constraints(
 
 @dataclass(frozen=True)
 class Cell:
-    """Conjunction (intersection) of half-spaces; no constraints means R^n."""
+    """Conjunction (intersection) of half-spaces; no constraints means R^n.
+
+    The constructor normalizes the rows once (:func:`_normalize_constraints`):
+    no trivially true rows, no duplicates, only the tightest of parallel
+    bounds.  A constant contradiction is stored as the one canonical false
+    row ``0 <= -1``.  So every cell's rows are normalized, and ``key()`` is
+    the emptiness cache key as it stands."""
 
     dim: int
     constraints: tuple[HalfSpace, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for h in self.constraints:
-            if h.dim != self.dim:
+        rows = tuple(self.constraints)
+        for h in rows:
+            if len(h.normal) != self.dim:
                 raise DimensionMismatch(
                     f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
                 )
+        norm = _normalize_constraints(rows)
+        if norm is None:
+            norm = (HalfSpace((0,) * self.dim, Fraction(-1)),)
+        object.__setattr__(self, "constraints", norm)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dim:
@@ -242,15 +252,12 @@ def clear_caches() -> None:
 
 def is_empty_cell(c: Cell) -> bool:
     """True iff no rational (equivalently real) point satisfies the cell."""
-    norm = _normalize_constraints(c.constraints)
-    if norm is None:
-        return True
-    key = (c.dim, frozenset(norm))
+    key = c.key()
     hit = _empty_cache.get(key)
     if hit is not None:
         return hit
-    used = {j for h in norm for j in range(c.dim) if h.normal[j] != 0}
-    result = _eliminate_vars(norm, used) is None
+    used = {j for h in c.constraints for j in range(c.dim) if h.normal[j] != 0}
+    result = _eliminate_vars(c.constraints, used) is None
     if len(_empty_cache) >= _EMPTY_CACHE_LIMIT:
         _empty_cache.clear()
     _empty_cache[key] = result
@@ -263,11 +270,10 @@ def witness_cell(c: Cell) -> Vec | None:
     Eliminates variables one at a time and back-substitutes, choosing a
     rational value strictly inside the feasible interval at each level.
     """
-    norm = _normalize_constraints(c.constraints)
-    if norm is None:
+    current: tuple[HalfSpace, ...] | None = c.constraints
+    if len(current) == 1 and current[0].is_zero_normal():  # the false row
         return None
-    systems: list[tuple[HalfSpace, ...]] = [norm]
-    current: tuple[HalfSpace, ...] | None = norm
+    systems: list[tuple[HalfSpace, ...]] = [current]
     for j in range(c.dim):
         current = _fm_step(current, j)
         if current is None:
@@ -381,20 +387,18 @@ def witness(s: PLSet) -> Vec | None:
     return None
 
 
-# Light structural cleanup: normalize constraints, drop empty cells, dedup,
-# and drop cells syntactically contained in another (more constraints =
-# smaller).  This is the one place where the boolean operations normalize
-# and emptiness-check the cells they build.
-def _light_cleanup(dim: int, cells_: Iterable[Cell]) -> tuple[Cell, ...]:
+def _light_cleanup(cells_: Iterable[Cell]) -> tuple[Cell, ...]:
+    """Light structural cleanup: drop empty cells, dedup, and drop cells
+    syntactically contained in another (more constraints = smaller).
+
+    Every cell comes in normalized, since the constructor normalizes, so
+    this pass normalizes nothing; it is the one place where the boolean
+    operations emptiness-check the cells they build."""
     seen: dict[tuple, Cell] = {}
     for c in cells_:
-        norm = _normalize_constraints(c.constraints)
-        if norm is None:
+        if is_empty_cell(c):
             continue
-        cc = Cell(dim, norm)
-        if is_empty_cell(cc):
-            continue
-        seen.setdefault(cc.key(), cc)
+        seen.setdefault(c.key(), c)
     items = list(seen.values())
     keysets = [c.key()[1] for c in items]
     keep: list[Cell] = []
@@ -417,18 +421,19 @@ def _cell_subset_of_cell(a: Cell, b: Cell) -> bool:
 
 
 def _drop_redundant_constraints(c: Cell) -> Cell:
-    cons = list(c.constraints)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cons)):
-            others = cons[:i] + cons[i + 1:]
-            test = Cell(c.dim, tuple(others) + (cons[i].negated(),))
-            if is_empty_cell(test):
-                cons = others
-                changed = True
-                break
-    return Cell(c.dim, tuple(cons))
+    """Drop each row implied by the others, in one forward pass.
+
+    A row not implied by a set of rows is not implied by any subset of it,
+    so a row kept once never needs checking again."""
+    cons = c.constraints
+    i = 0
+    while i < len(cons):
+        others = cons[:i] + cons[i + 1:]
+        if is_empty_cell(Cell(c.dim, others + (cons[i].negated(),))):
+            cons = others
+        else:
+            i += 1
+    return c if cons is c.constraints else Cell(c.dim, cons)
 
 
 # Cell count up to which canonicalize runs its pairwise absorb loop, which
@@ -446,9 +451,9 @@ def canonicalize(s: PLSet) -> PLSet:
     10000-10024) took 54 s instead of 22 s on a 2-vCPU machine."""
     if s.__dict__.get("_canonical_deep"):
         return s
-    cells_ = _light_cleanup(s.dim, s.cells)
+    cells_ = _light_cleanup(s.cells)
     cells_ = tuple(_drop_redundant_constraints(c) for c in cells_)
-    cells_ = _light_cleanup(s.dim, cells_)
+    cells_ = _light_cleanup(cells_)
     if len(cells_) <= _ABSORB_LIMIT:
         kept: list[Cell] = []
         for i, c in enumerate(cells_):
@@ -490,14 +495,14 @@ def union(*sets: PLSet) -> PLSet:
     for s in sets:
         cells_.extend(s.cells)
     _check_budget(len(cells_), "union")
-    return PLSet(dim, _light_cleanup(dim, cells_))
+    return PLSet(dim, _light_cleanup(cells_))
 
 
 def intersect(s: PLSet, t: PLSet) -> PLSet:
     dim = _require_same_dim(s, t)
     _check_budget(len(s.cells) * max(1, len(t.cells)), "intersect")
     out = [Cell(dim, a.constraints + b.constraints) for a in s.cells for b in t.cells]
-    return PLSet(dim, _light_cleanup(dim, out))
+    return PLSet(dim, _light_cleanup(out))
 
 
 def _subtract_cells(
@@ -518,7 +523,7 @@ def _subtract_cells(
                 nxt.extend(Cell(dim, p.constraints + (h.negated(),))
                            for h in b.constraints)
         _check_budget(len(nxt), where)
-        pieces = list(_light_cleanup(dim, nxt))
+        pieces = list(_light_cleanup(nxt))
         if not pieces:
             break
     return pieces
@@ -526,7 +531,7 @@ def _subtract_cells(
 
 def difference(s: PLSet, t: PLSet) -> PLSet:
     dim = _require_same_dim(s, t)
-    pieces = list(_light_cleanup(dim, s.cells))
+    pieces = list(_light_cleanup(s.cells))
     return PLSet(dim, tuple(_subtract_cells(dim, pieces, t.cells, "difference")))
 
 
@@ -541,7 +546,7 @@ def symmetric_difference(s: PLSet, t: PLSet) -> PLSet:
 def difference_witness(s: PLSet, t: PLSet) -> Vec | None:
     """A rational point of ``s \\ t``, or ``None`` when ``s`` is a subset."""
     dim = _require_same_dim(s, t)
-    for a in _light_cleanup(dim, s.cells):
+    for a in _light_cleanup(s.cells):
         pieces = _subtract_cells(dim, [a], t.cells, "difference_witness")
         if pieces:
             w = witness_cell(pieces[0])
@@ -578,7 +583,7 @@ def exists(s: PLSet, coords: Iterable[int]) -> PLSet:
         cons = _eliminate_vars(c.constraints, idxs)
         if cons is not None:
             out.append(Cell(s.dim, cons))
-    return PLSet(s.dim, _light_cleanup(s.dim, out))
+    return PLSet(s.dim, _light_cleanup(out))
 
 
 def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
@@ -593,7 +598,7 @@ def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
             for h in c.constraints
         )
         out.append(Cell(new_dim, cons))
-    return PLSet(new_dim, _light_cleanup(new_dim, out))
+    return PLSet(new_dim, _light_cleanup(out))
 
 
 def closure(s: PLSet) -> PLSet:
@@ -612,7 +617,7 @@ def closure(s: PLSet) -> PLSet:
         if is_empty_cell(c):
             continue
         out.append(Cell(s.dim, tuple(h.relaxed() for h in c.constraints)))
-    return PLSet(s.dim, _light_cleanup(s.dim, out))
+    return PLSet(s.dim, _light_cleanup(out))
 
 
 def reflect(s: PLSet) -> PLSet:
@@ -650,7 +655,7 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
                 HalfSpace(h.normal[:n], h.offset, h.strict) for h in reduced
             )
             out.append(Cell(n, trimmed))
-    return PLSet(n, _light_cleanup(n, out))
+    return PLSet(n, _light_cleanup(out))
 
 
 def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bool:

@@ -226,6 +226,10 @@ def test_cell_limit_flag(tmp_path, triangle_path):
         assert get_cell_limit() == previous
         assert run(["--cell-limit", "7", "validate", triangle_path]) == 0
         assert get_cell_limit() == previous
+        # a limit below 1 is an input error, not a crash, and changes nothing
+        assert run(["--cell-limit", "0", "validate", triangle_path]) == 1
+        assert run(["--cell-limit", "-3", "validate", triangle_path]) == 1
+        assert get_cell_limit() == previous
     finally:
         from staircase.qe import set_cell_limit
 

@@ -406,8 +406,9 @@ def _seeded_plset(rng, n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_operation_outputs_are_nonempty_and_normalized(seed, n):
-    # The operations leave normalizing and dropping empty cells to one
-    # cleanup pass; every cell they return must have been through it.
+    # Every cell is normalized when it is built, and the operations leave
+    # dropping empty cells to one cleanup pass; every cell they return must
+    # have been through both.
     rng = random.Random(seed)
     s, t, k = (_seeded_plset(rng, n) for _ in range(3))
     outputs = {
@@ -424,6 +425,51 @@ def test_operation_outputs_are_nonempty_and_normalized(seed, n):
         for c in out.cells:
             assert not is_empty_cell(c), name
             assert _normalize_constraints(c.constraints) == c.constraints, name
+
+
+def _raw_rows(rng, n):
+    """0-6 rows over two directions and the zero normal, so duplicates,
+    parallel bounds of mixed strictness and true and false constant rows
+    all turn up."""
+    directions = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(2)]
+    directions.append((0,) * n)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        scale = rng.choice((1, 2))
+        rows.append(halfspace(
+            [scale * c for c in rng.choice(directions)],
+            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
+            rng.random() < 0.5,
+        ))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_cell_constructor_normalizes_rows(seed, n):
+    rng = random.Random(seed)
+    raw = _raw_rows(rng, n)
+    c = Cell(n, raw)
+    norm = _normalize_constraints(raw)
+    if norm is not None:
+        assert c.constraints == norm
+    else:
+        assert c.constraints == (HalfSpace((0,) * n, Fraction(-1)),)
+        assert is_empty_cell(c)
+        assert witness_cell(c) is None
+        assert union(PLSet(n, (c,))).cells == ()
+    for _ in range(8):
+        p = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n))
+        assert c.contains(p) == all(h.holds(p) for h in raw)
+    w = witness_cell(c)
+    assert (w is None) == is_empty_cell(c)
+    if w is not None:
+        assert all(h.holds(w) for h in raw)
+    wrong = halfspace([0] * (n + 1), rng.randint(-1, 1))  # zero normal, wrong length
+    with pytest.raises(DimensionMismatch):
+        Cell(n, raw + [wrong])
+    with pytest.raises(DimensionMismatch):
+        Cell(n, [halfspace([0] * n, -1), wrong])  # after a contradiction too
 
 
 def test_difference_leaves_cells_the_subtrahend_misses_alone():
