@@ -18,8 +18,8 @@ from typing import Iterable
 
 from . import qe
 from .errors import DimensionMismatch, FaceError, InternalCheckFailure, ValidationError
-from .qe import Cell, HalfSpace, PLSet
-from .rationals import Rat, Vec, vec
+from .qe import Cell, PLSet
+from .rationals import HalfSpace, Rat, Vec, vec
 
 # ---------------------------------------------------------------------------
 # Faces and shapes

@@ -15,8 +15,7 @@ from .decompose import IrreducibleFamily, MinimalityReport, PrimaryDecomposition
 from .discrete import DiscreteDecomposition, DiscreteDownset, DiscreteIdeal
 from .errors import InputFormatError
 from .geometry import Cell, Downset, Face, Interval, PLSet, Upset, interval
-from .qe import HalfSpace
-from .rationals import format_rational, parse_rational
+from .rationals import HalfSpace, format_rational, parse_rational
 from .socle import SocleTable
 
 

@@ -43,8 +43,7 @@ from .geometry import (
     shape_at,
     upset_cone_cell,
 )
-from .qe import HalfSpace
-from .rationals import Vec, dot, frac, vec
+from .rationals import HalfSpace, Vec, dot, frac, vec
 from .socle import _quotient_face, boundary_degrees, sigma_closure, socle
 
 

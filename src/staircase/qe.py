@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CellLimitExceeded, DimensionMismatch, StaircaseError
-from .rationals import Rat, Vec, dot, frac, vec
+from .rationals import HalfSpace, Rat, Vec, int_row, reduce_row, scaled, vec
 
 # Guard against runaway disjunctive-normal-form expansion.  The engine is
 # meant for small ambient dimension and modest cell counts; anything that
@@ -52,67 +52,6 @@ def _check_budget(count: int, where: str) -> None:
 # Half-spaces
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """``{x : normal . x < offset}`` when strict, ``<=`` otherwise.
-
-    Stored in canonical form: ``normal`` is a primitive integer tuple (gcd
-    1, or all zero) and ``offset`` is scaled by the unique positive factor
-    that makes it so.  Two half-spaces with nonzero normals are therefore
-    ``==`` exactly when they denote the same set, so the value itself is
-    the dedup and cache key.  A zero normal is the canonical TRUE/FALSE
-    constraint; the sign of the offset decides which.
-    """
-
-    normal: tuple[int, ...]
-    offset: Fraction
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        normal = self.normal if type(self.normal) is tuple else tuple(self.normal)
-        offset = self.offset if type(self.offset) is Fraction else frac(self.offset)
-        if not all(type(c) is int for c in normal):
-            rats = vec(normal)
-            scale = lcm(*(c.denominator for c in rats))
-            normal = tuple(c.numerator * (scale // c.denominator) for c in rats)
-            offset *= scale
-        g = gcd(*normal)
-        if g > 1:
-            normal = tuple(c // g for c in normal)
-            offset /= g
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-    def holds(self, point: Sequence[Fraction]) -> bool:
-        value = dot(self.normal, point)
-        return value < self.offset if self.strict else value <= self.offset
-
-    def is_zero_normal(self) -> bool:
-        return not any(self.normal)
-
-    def constant_truth(self) -> bool:
-        """Truth value of a zero-normal constraint."""
-        return (0 < self.offset) if self.strict else (0 <= self.offset)
-
-    def negated(self) -> "HalfSpace":
-        """Complementary half-space; strictness flips."""
-        return HalfSpace(tuple(-c for c in self.normal), -self.offset, not self.strict)
-
-    def relaxed(self) -> "HalfSpace":
-        return self if not self.strict else HalfSpace(self.normal, self.offset, False)
-
-    def strictened(self) -> "HalfSpace":
-        return self if self.strict else HalfSpace(self.normal, self.offset, True)
-
-    def reflected(self) -> "HalfSpace":
-        """Constraint satisfied by ``-x`` exactly when ``self`` holds at ``x``."""
-        return HalfSpace(tuple(-c for c in self.normal), self.offset, self.strict)
-
-
 def halfspace(normal: Iterable[Rat], offset: Rat, strict: bool = False) -> HalfSpace:
     return HalfSpace(tuple(normal), offset, strict)
 
@@ -131,10 +70,12 @@ def _normalize_constraints(
                 return None
             continue
         prev = by_normal.get(h.normal)
+        if prev is None:
+            by_normal[h.normal] = h
+            continue
         # Smaller offset is tighter; on ties a strict bound wins.
-        if prev is None or h.offset < prev.offset or (
-            h.offset == prev.offset and h.strict and not prev.strict
-        ):
+        lhs, rhs = h.num * prev.den, prev.num * h.den
+        if lhs < rhs or (lhs == rhs and h.strict and not prev.strict):
             by_normal[h.normal] = h
     return tuple(by_normal.values())
 
@@ -165,7 +106,7 @@ class Cell:
                 )
         norm = _normalize_constraints(rows)
         if norm is None:
-            norm = (HalfSpace((0,) * self.dim, Fraction(-1)),)
+            norm = (int_row((0,) * self.dim, -1, 1, False),)
         object.__setattr__(self, "constraints", norm)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
@@ -173,7 +114,8 @@ class Cell:
             raise DimensionMismatch(
                 f"point of dimension {len(point)} in cell of dimension {self.dim}"
             )
-        return all(h.holds(point) for h in self.constraints)
+        p, d = scaled(point)
+        return all(h.holds_scaled(p, d) for h in self.constraints)
 
     def reflected(self) -> "Cell":
         """The cell ``{-x : x in self}``; constraint order is kept."""
@@ -213,18 +155,20 @@ def _fm_step(constraints: Sequence[HalfSpace], j: int) -> tuple[HalfSpace, ...] 
         for up in ups:
             b = up.normal[j]  # positive
             normal = tuple(b * lc + a * uc for lc, uc in zip(lo.normal, up.normal))
-            offset = b * lo.offset + a * up.offset
-            out.append(HalfSpace(normal, offset, lo.strict or up.strict))
+            num = b * lo.num * up.den + a * up.num * lo.den
+            row = reduce_row(normal, num, lo.den * up.den)
+            out.append(int_row(*row, lo.strict or up.strict))
     return _normalize_constraints(out)
 
 
 def _eliminate_vars(
     constraints: Sequence[HalfSpace], idxs: Iterable[int]
 ) -> tuple[HalfSpace, ...] | None:
-    """Existentially project out all variables in ``idxs``.  ``None`` = empty."""
-    current = _normalize_constraints(constraints)
-    if current is None:
-        return None
+    """Existentially project out all variables in ``idxs``.  ``None`` = empty.
+
+    The rows must come normalized (:func:`_normalize_constraints`), as a
+    cell's rows do; each FM step normalizes its output."""
+    current = constraints
     remaining = set(idxs)
     while remaining:
         # Pick the variable minimizing the number of new combinations.
@@ -257,7 +201,10 @@ def is_empty_cell(c: Cell) -> bool:
     if hit is not None:
         return hit
     used = {j for h in c.constraints for j in range(c.dim) if h.normal[j] != 0}
-    result = _eliminate_vars(c.constraints, used) is None
+    if used:
+        result = _eliminate_vars(c.constraints, used) is None
+    else:  # normalized rows without a variable: the canonical false row, or none
+        result = bool(c.constraints)
     if len(_empty_cache) >= _EMPTY_CACHE_LIMIT:
         _empty_cache.clear()
     _empty_cache[key] = result
@@ -342,7 +289,8 @@ class PLSet:
             raise DimensionMismatch(
                 f"point of dimension {len(pt)} in PL set of dimension {self.dim}"
             )
-        return any(all(h.holds(pt) for h in c.constraints) for c in self.cells)
+        p, d = scaled(pt)
+        return any(all(h.holds_scaled(p, d) for h in c.constraints) for c in self.cells)
 
 
 def plset(dim: int, *cells_: Cell) -> PLSet:
@@ -594,7 +542,7 @@ def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
     out: list[Cell] = []
     for c in cyl.cells:
         cons = tuple(
-            HalfSpace(_delete_coords(h.normal, idxs), h.offset, h.strict)
+            int_row(_delete_coords(h.normal, idxs), h.num, h.den, h.strict)
             for h in c.constraints
         )
         out.append(Cell(new_dim, cons))
@@ -643,17 +591,15 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
         for b in kcells:
             cons: list[HalfSpace] = []
             for h in a.constraints:  # x in a
-                cons.append(HalfSpace(zero + h.normal, h.offset, h.strict))
+                cons.append(int_row(zero + h.normal, h.num, h.den, h.strict))
             for h in b.constraints:  # z - x in b
-                cons.append(
-                    HalfSpace(h.normal + tuple(-c for c in h.normal), h.offset, h.strict)
-                )
-            reduced = _eliminate_vars(cons, range(n, 2 * n))
+                lifted = h.normal + tuple(-c for c in h.normal)
+                cons.append(int_row(lifted, h.num, h.den, h.strict))
+            rows = _normalize_constraints(cons)
+            reduced = None if rows is None else _eliminate_vars(rows, range(n, 2 * n))
             if reduced is None:
                 continue
-            trimmed = tuple(
-                HalfSpace(h.normal[:n], h.offset, h.strict) for h in reduced
-            )
+            trimmed = tuple(int_row(h.normal[:n], h.num, h.den, h.strict) for h in reduced)
             out.append(Cell(n, trimmed))
     return PLSet(n, _light_cleanup(out))
 
@@ -674,14 +620,19 @@ def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bo
     if all(c == 0 for c in dv):
         raise StaircaseError("direction must be nonzero; use membership instead")
 
+    pa, d = scaled(av)
+    pv, _ = scaled(dv)
+
     def cell_ok(c: Cell) -> bool:
         for h in c.constraints:
-            la = dot(h.normal, av)
-            if la < h.offset:
+            # l.a - c has the sign of l.(pa) * den - num * d, as d, den > 0.
+            la = sum(map(mul, h.normal, pa)) * h.den
+            rhs = h.num * d
+            if la < rhs:
                 continue
-            if la > h.offset:
+            if la > rhs:
                 return False
-            lv = dot(h.normal, dv)
+            lv = sum(map(mul, h.normal, pv))
             if lv < 0:
                 continue
             if lv == 0 and not h.strict:

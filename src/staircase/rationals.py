@@ -1,17 +1,21 @@
-"""Exact rational scalars and vectors.
+"""Exact rational scalars, vectors and half-spaces.
 
-Every coordinate in the engine is a ``fractions.Fraction``, and every
-half-space normal a primitive integer tuple (see ``qe.HalfSpace``); floats
-are rejected wherever user data enters, so all predicates downstream stay
-decidable.
+Every coordinate in the engine is a ``fractions.Fraction``.  A half-space
+(:class:`HalfSpace`) is all ints: a primitive integer normal and a reduced
+integer offset pair ``num/den``, so the engine's hot paths (Fourier-Motzkin,
+cell keys, membership) compare integer cross-products and build no
+``Fraction``.  Floats are rejected wherever user data enters, so all
+predicates downstream stay decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import InputFormatError
+from .errors import DimensionMismatch, InputFormatError
 
 Rat = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -73,3 +77,146 @@ def parse_rational(obj: object) -> Fraction:
     raise InputFormatError(
         f"rationals must be integers or 'p/q' strings, got {type(obj).__name__}: {obj!r}"
     )
+
+
+# Half-spaces --------------------------------------------------------------
+
+
+_set = object.__setattr__
+
+
+class HalfSpace:
+    """``{x : normal . x < offset}`` when strict, ``<=`` otherwise.
+
+    Stored in canonical form, all in ints: ``normal`` is a primitive
+    integer tuple (gcd 1, or all zero) and the offset, scaled by the unique
+    positive factor that makes the normal so, is the reduced pair
+    ``num/den`` with ``den > 0``.  That is the primitive integer row
+    ``(den*normal, num)``, so two half-spaces with nonzero normals are
+    ``==`` exactly when they denote the same set, and the value itself is
+    the dedup and cache key; equality and the hash compare ints only.  A
+    zero normal is the canonical TRUE/FALSE constraint; the sign of ``num``
+    decides which.  ``offset`` is ``num/den`` as a ``Fraction``, for
+    readers off the hot paths.
+    """
+
+    __slots__ = ("normal", "num", "den", "strict")
+
+    normal: tuple[int, ...]
+    num: int
+    den: int
+    strict: bool
+
+    def __init__(self, normal: Iterable[Rat], offset: Rat, strict: bool = False) -> None:
+        normal = normal if type(normal) is tuple else tuple(normal)
+        if type(offset) is int:
+            num, den = offset, 1
+        else:
+            offset = frac(offset)
+            num, den = offset.numerator, offset.denominator
+        if not all(type(c) is int for c in normal):
+            rats = vec(normal)
+            scale = lcm(*(c.denominator for c in rats))
+            normal = tuple(c.numerator * (scale // c.denominator) for c in rats)
+            num *= scale
+        _init(self, *reduce_row(normal, num, den), strict)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("HalfSpace is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("HalfSpace is immutable")
+
+    def __reduce__(self) -> tuple:
+        return int_row, (self.normal, self.num, self.den, self.strict)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not HalfSpace:
+            return NotImplemented
+        return self is other or (
+            self.num == other.num
+            and self.den == other.den
+            and self.strict == other.strict
+            and self.normal == other.normal
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.num, self.den, self.strict))
+
+    def __repr__(self) -> str:
+        return f"HalfSpace({self.normal!r}, {self.offset!r}, {self.strict!r})"
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def dim(self) -> int:
+        return len(self.normal)
+
+    def holds(self, point: Sequence[Fraction]) -> bool:
+        if len(point) != len(self.normal):
+            raise DimensionMismatch(
+                f"point of dimension {len(point)} for a row of dimension {self.dim}"
+            )
+        return self.holds_scaled(*scaled(point))
+
+    def holds_scaled(self, p: Sequence[int], d: int) -> bool:
+        """``holds`` at the point ``p / d`` (integer ``p``, ``d > 0``)."""
+        lhs = sum(map(mul, self.normal, p)) * self.den
+        rhs = self.num * d
+        return lhs < rhs if self.strict else lhs <= rhs
+
+    def is_zero_normal(self) -> bool:
+        return not any(self.normal)
+
+    def constant_truth(self) -> bool:
+        """Truth value of a zero-normal constraint."""
+        return (0 < self.num) if self.strict else (0 <= self.num)
+
+    def negated(self) -> "HalfSpace":
+        """Complementary half-space; strictness flips."""
+        return int_row(tuple(-c for c in self.normal), -self.num, self.den, not self.strict)
+
+    def relaxed(self) -> "HalfSpace":
+        return int_row(self.normal, self.num, self.den, False) if self.strict else self
+
+    def strictened(self) -> "HalfSpace":
+        return self if self.strict else int_row(self.normal, self.num, self.den, True)
+
+    def reflected(self) -> "HalfSpace":
+        """Constraint satisfied by ``-x`` exactly when ``self`` holds at ``x``."""
+        return int_row(tuple(-c for c in self.normal), self.num, self.den, self.strict)
+
+
+def _init(h: HalfSpace, normal: tuple[int, ...], num: int, den: int, strict: bool) -> None:
+    _set(h, "normal", normal)
+    _set(h, "num", num)
+    _set(h, "den", den)
+    _set(h, "strict", strict)
+
+
+def int_row(normal: tuple[int, ...], num: int, den: int, strict: bool) -> HalfSpace:
+    """A half-space from parts already in canonical form; no coercion."""
+    h = object.__new__(HalfSpace)
+    _init(h, normal, num, den, strict)
+    return h
+
+
+def reduce_row(
+    normal: tuple[int, ...], num: int, den: int
+) -> tuple[tuple[int, ...], int, int]:
+    """The row ``normal . x <= num/den`` (integer normal, ``den > 0``) in
+    canonical form: the normal divided by its gcd, the offset reduced."""
+    g = gcd(*normal)
+    if g > 1:
+        normal = tuple(c // g for c in normal)
+        den *= g
+    g = gcd(num, den)
+    return normal, num // g, den // g
+
+
+def scaled(point: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A rational point as integer numerators over one common ``d > 0``."""
+    d = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (d // x.denominator) for x in point), d

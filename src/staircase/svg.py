@@ -13,8 +13,8 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .geometry import PLSet
-from .qe import HalfSpace, is_empty_cell
-from .rationals import Vec, dot, frac
+from .qe import is_empty_cell
+from .rationals import HalfSpace, Vec, dot, frac
 
 _FILL = "#4477aa"
 _STROKE = "#223355"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,10 @@ from staircase import (
 )
 from staircase.qe import (
     HalfSpace,
+    _eliminate_vars,
+    _fm_step,
     _normalize_constraints,
+    clear_caches,
     condense,
     difference_witness,
     is_empty_cell,
@@ -507,3 +510,193 @@ def test_difference_matches_reference_sweep(seed, n):
     assert (w is None) == is_empty(expected)
     if w is not None:
         assert s.contains(w) and not t.contains(w)
+
+
+# --- integer offsets against a Fraction reference ------------------------------
+
+
+def _ref_row(normal, offset, strict):
+    """Test-local canonical form, in Fractions: the primitive integer normal
+    and the offset scaled by the same positive factor."""
+    rats = [Fraction(c) for c in normal]
+    scale = lcm(*(c.denominator for c in rats))
+    ints = [int(c * scale) for c in rats]
+    g = gcd(*ints) or 1
+    return tuple(c // g for c in ints), Fraction(offset) * scale / g, strict
+
+
+def _ref_normalize(rows):
+    best = {}
+    for normal, offset, strict in rows:
+        if not any(normal):
+            if not (0 < offset if strict else 0 <= offset):
+                return None
+            continue
+        prev = best.get(normal)
+        if prev is None or offset < prev[0] or (offset == prev[0] and strict and not prev[1]):
+            best[normal] = (offset, strict)
+    return {(normal, offset, strict) for normal, (offset, strict) in best.items()}
+
+
+def _ref_fm_step(rows, j):
+    out = [r for r in rows if r[0][j] == 0]
+    for lo_normal, lo_offset, lo_strict in (r for r in rows if r[0][j] < 0):
+        for up_normal, up_offset, up_strict in (r for r in rows if r[0][j] > 0):
+            a, b = -lo_normal[j], up_normal[j]
+            out.append(_ref_row(
+                [b * x + a * y for x, y in zip(lo_normal, up_normal)],
+                b * lo_offset + a * up_offset,
+                lo_strict or up_strict,
+            ))
+    return _ref_normalize(out)
+
+
+def _ref_eliminate(rows, idxs):
+    """Same variable order as ``_eliminate_vars``: least new rows first,
+    ties to the lowest index."""
+    remaining = sorted(idxs)
+    while remaining:
+        costs = []
+        for j in remaining:
+            lo = sum(1 for r in rows if r[0][j] < 0)
+            up = sum(1 for r in rows if r[0][j] > 0)
+            costs.append(lo * up - lo - up)
+        j = remaining.pop(costs.index(min(costs)))
+        rows = _ref_fm_step(rows, j)
+        if rows is None:
+            return None
+    return rows
+
+
+def _as_ref(rows):
+    return None if rows is None else {(h.normal, h.offset, h.strict) for h in rows}
+
+
+def _assert_canonical_row(h):
+    assert h.den > 0 and gcd(h.num, h.den) == 1
+    assert type(h.num) is int and type(h.den) is int
+    twin = HalfSpace(h.normal, Fraction(h.num, h.den), h.strict)
+    assert h == twin and hash(h) == hash(twin)
+    assert (h.normal, h.offset, h.strict) == _ref_row(h.normal, h.offset, h.strict)
+
+
+def _fm_case(n):
+    row = st.tuples(st.lists(_entry, min_size=n, max_size=n), _entry, st.booleans())
+    # (row index, scale, offset, strict): a bound parallel to an earlier row
+    twin = st.tuples(st.integers(0, 4), _scale, _entry, st.booleans())
+    return st.tuples(
+        st.just(n),
+        st.lists(row, min_size=1, max_size=5),
+        st.lists(twin, max_size=3),
+        st.sets(st.integers(0, n - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_fm_case))
+def test_fm_matches_fraction_reference(case):
+    # Rows of ints and Fractions; FM, normalization and the rows that
+    # negation, reflection and the Minkowski sum build must match the
+    # Fraction arithmetic of the test-local reference exactly.
+    n, raw, twins, idxs = case
+    raw += [([k * x for x in raw[i % len(raw)][0]], b, s) for i, k, b, s in twins]
+    rows = _normalize_constraints(HalfSpace(tuple(a), b, s) for a, b, s in raw)
+    ref = _ref_normalize(_ref_row(a, b, s) for a, b, s in raw)
+    assert _as_ref(rows) == ref
+    if rows is None:
+        return
+    for h in rows:
+        _assert_canonical_row(h)
+        _assert_canonical_row(h.negated())
+        _assert_canonical_row(h.reflected())
+        assert _as_ref([h.negated()]) == {_ref_row([-c for c in h.normal], -h.offset, not h.strict)}
+        assert _as_ref([h.reflected()]) == {_ref_row([-c for c in h.normal], h.offset, h.strict)}
+    for j in range(n):
+        step = _fm_step(rows, j)
+        assert _as_ref(step) == _ref_fm_step(ref, j)
+        for h in step or ():
+            _assert_canonical_row(h)
+    assert _as_ref(_eliminate_vars(rows, idxs)) == _ref_eliminate(ref, idxs)
+    c = Cell(n, rows)
+    for out in minkowski(PLSet(n, (c,)), c.reflected()).cells:
+        for h in out.constraints:
+            _assert_canonical_row(h)
+
+
+def test_false_row_is_empty_without_fm_normalizing_its_input():
+    # FM no longer normalizes its input, so the canonical false row, which
+    # has no variable to eliminate, is caught by its callers.
+    for n in range(4):
+        clear_caches()
+        false = Cell(n, (halfspace([0] * n, -1),))
+        assert is_empty_cell(false)
+        assert not is_empty_cell(Cell(n))
+        assert exists(PLSet(n, (false,)), range(n)).cells == ()
+        assert exists(PLSet(n, (false,)), ()).cells == ()
+        assert minkowski(PLSet(n, (false,)), Cell(n)).cells == ()
+        assert minkowski(universe(n), false).cells == ()
+
+
+def _limit_reference(rows, a, v):
+    """``directional_limit_member`` of one cell, in Fractions."""
+    for normal, offset, strict in rows:
+        la = sum((Fraction(x) * y for x, y in zip(normal, a)), Fraction(0))
+        if la != offset:
+            if la > offset:
+                return False
+            continue
+        lv = sum((Fraction(x) * y for x, y in zip(normal, v)), Fraction(0))
+        if lv > 0 or (lv == 0 and strict):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_integer_comparisons_on_ties_match_fraction_reference(seed, n):
+    # Points with mixed denominators on a row, or a hair off it: the
+    # cross-multiplied comparisons of holds, PLSet.contains and
+    # directional_limit_member must agree with Fraction comparisons.
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+
+    for _ in range(6):
+        a = tuple(q() for _ in range(n))
+        v = tuple(rng.choice((-1, 0, 1, q())) for _ in range(n))
+        rows = []
+        for shift in (0, 0, Fraction(1, 42), Fraction(-1, 42)):
+            normal = [rng.choice((rng.randint(-3, 3), q())) for _ in range(n)]
+            on = sum((Fraction(x) * y for x, y in zip(normal, a)), Fraction(0))
+            rows.append((normal, on + shift, rng.random() < 0.5))
+        for normal, offset, strict in rows:
+            h = HalfSpace(tuple(normal), offset, strict)
+            value = sum((Fraction(x) * y for x, y in zip(normal, a)), Fraction(0))
+            expected = value < offset if strict else value <= offset
+            assert h.holds(a) == expected
+            one = PLSet(n, (Cell(n, (h,)),))
+            assert one.contains(a) == expected
+            if any(v):
+                assert directional_limit_member(one, a, v) == _limit_reference(
+                    [(normal, offset, strict)], a, v
+                )
+        both = PLSet(n, (Cell(n, tuple(HalfSpace(tuple(r[0]), r[1], r[2]) for r in rows[:2])),))
+        assert both.contains(a) == all(
+            HalfSpace(tuple(r[0]), r[1], r[2]).holds(a) for r in rows[:2]
+        )
+        if any(v):
+            assert directional_limit_member(both, a, v) == _limit_reference(rows[:2], a, v)
+
+
+def test_halfspace_is_immutable_and_copies():
+    import copy
+    import pickle
+
+    h = HalfSpace((2, F(1, 2)), F(3, 4), True)
+    assert (h.normal, h.num, h.den, h.strict) == ((4, 1), 3, 2, True)
+    for mutate in (lambda: setattr(h, "num", 1), lambda: delattr(h, "num")):
+        with pytest.raises(AttributeError):
+            mutate()
+    for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert twin == h and hash(twin) == hash(h)
