@@ -10,9 +10,16 @@ and hull, and ``reconstruct``.  Two trees print the same digest exactly
 when they give the same rows in the same order, so a change that must not
 alter any answer can be checked by running this before and after it.
 
-Usage: PYTHONPATH=src python3 scripts/answer_digest.py
+A change that rewrites cell syntax changes the digest even when every set
+stays the same.  For that case, ``--dump FILE`` writes every answer as
+``plset_to_json``, and ``--against FILE`` compares each answer with such a
+dump by ``qe.equals``.  It prints the first instance and answer that
+differ and exits 1.
+
+Usage: PYTHONPATH=src python3 scripts/answer_digest.py [--dump FILE] [--against FILE]
 """
 
+import argparse
 import hashlib
 import sys
 
@@ -20,10 +27,19 @@ from staircase import (
     Face,
     irreducible_family,
     primary_decomposition,
+    qe,
     random_downset,
     reconstruct,
 )
-from staircase.jsonio import instance_from_json, instance_to_json
+from staircase.jsonio import (
+    dumps,
+    face_to_json,
+    instance_from_json,
+    instance_to_json,
+    loads,
+    plset_from_json,
+    plset_to_json,
+)
 
 CORPUS = [(s, 2, 8) for s in range(100)] + [(s, 3, 5) for s in range(10_000, 10_025)]
 
@@ -36,24 +52,66 @@ def rows(s) -> list:
 
 
 def instance_answers(seed: int, n: int, budget: int) -> list:
+    """The answers of one instance as ``(key, PLSet)`` pairs, in digest order."""
     d = instance_from_json(instance_to_json(random_downset(seed, n, budget)))
     pd = primary_decomposition(d)
     table = pd.table
-    out = [rows(d.carrier)]
+    out = [("carrier", d.carrier)]
     for key in sorted(table.entries, key=lambda k: (Face.sort_key(k[0]), Face.sort_key(k[1]))):
         entry = table.entries[key]
-        out += [rows(entry.degrees), rows(entry.cosets)]
-    for comp in pd.components.values():
-        out += [rows(comp.interval.carrier), rows(comp.hull.carrier)]
-    out.append(rows(reconstruct(irreducible_family(d, table=table), d)))
+        name = f"tau={face_to_json(key[0])};sigma={face_to_json(key[1])}"
+        out += [(f"{name} degrees", entry.degrees), (f"{name} cosets", entry.cosets)]
+    for tau, comp in pd.components.items():
+        name = f"component tau={face_to_json(tau)}"
+        out += [(f"{name} interval", comp.interval.carrier),
+                (f"{name} hull", comp.hull.carrier)]
+    out.append(("reconstruct", reconstruct(irreducible_family(d, table=table), d)))
     return out
 
 
-def main() -> int:
+def first_difference(answers: list, recorded: dict) -> str | None:
+    """The first answer key whose set differs from ``recorded``, if any."""
+    keys = {k for k, _ in answers}
+    if keys != set(recorded):
+        return f"answer keys {sorted(keys ^ set(recorded))}"
+    for key, s in answers:
+        if not qe.equals(s, plset_from_json(recorded[key], key)):
+            return key
+    return None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--dump", metavar="FILE", help="write every answer as plset JSON")
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare every answer with a --dump file by qe.equals")
+    args = ap.parse_args(argv)
+    recorded = None
+    if args.against:
+        with open(args.against) as fh:
+            recorded = loads(fh.read())
     digest = hashlib.sha256()
+    dump = {}
     for seed, n, budget in CORPUS:
-        digest.update(repr((seed, n, instance_answers(seed, n, budget))).encode())
+        answers = instance_answers(seed, n, budget)
+        digest.update(repr((seed, n, [rows(s) for _, s in answers])).encode())
+        instance = f"n={n} seed={seed}"
+        if args.dump:
+            dump[instance] = {key: plset_to_json(s) for key, s in answers}
+        if recorded is not None:
+            if instance not in recorded:
+                print(f"differs: {instance} is missing from {args.against}")
+                return 1
+            key = first_difference(answers, recorded[instance])
+            if key is not None:
+                print(f"differs: {instance}: {key}")
+                return 1
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            fh.write(dumps(dump))
     print(f"{digest.hexdigest()}  ({len(CORPUS)} instances)")
+    if recorded is not None:
+        print(f"every answer equals {args.against}")
     return 0
 
 

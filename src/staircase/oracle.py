@@ -44,7 +44,7 @@ from .geometry import (
     upset_cone_cell,
 )
 from .rationals import HalfSpace, Vec, dot, frac, vec
-from .socle import _quotient_face, boundary_degrees, sigma_closure, socle
+from .socle import SocleTable, _quotient_face, boundary_degrees, sigma_closure, socle
 
 
 @dataclass(frozen=True)
@@ -474,22 +474,27 @@ def verify_instance(
         return out
 
     if isinstance(obj, Upset):
-        mirrored = reflect_upset(obj)
-        out.reports.extend(_verify_real(mirrored, grid))
-        out.reports.append(_top_routes_report(obj))
+        reports, mirrored_table = _verify_real(reflect_upset(obj), grid)
+        out.reports.extend(reports)
+        out.reports.append(_top_routes_report(obj, mirrored_table))
         return out
     if isinstance(obj, (Downset, Interval)):
-        out.reports.extend(_verify_real(obj, grid))
+        out.reports.extend(_verify_real(obj, grid)[0])
         return out
     raise ValidationError(f"cannot verify a {type(obj).__name__}")
 
 
-def _top_routes_report(u: Upset) -> Report:
-    """Generator functor computed by reflection vs the direct pipeline."""
-    from .socle import top_direct, top_table
+def _top_routes_report(u: Upset, mirrored: SocleTable) -> Report:
+    """Generator functor computed by reflection vs the direct pipeline.
+
+    ``mirrored`` is the socle table of the reflected upset, whose entries
+    reflect to the tops of ``u``; this is the table :func:`_verify_real`
+    already built for it."""
+    from .socle import _top_entry, top_direct
 
     report = Report("top-route-agreement")
-    for (rho, xi), a in top_table(u).items():
+    for (rho, xi), e in mirrored.entries.items():
+        a = _top_entry(rho, xi, e)
         report.checked += 1
         b = top_direct(u, rho, xi)
         if not (qe.equals(a.degrees, b.degrees) and qe.equals(a.cosets, b.cosets)):
@@ -498,7 +503,10 @@ def _top_routes_report(u: Upset) -> Report:
     return report
 
 
-def _verify_real(m: Downset | Interval, grid: GridSpec | None) -> list[Report]:
+def _verify_real(
+    m: Downset | Interval, grid: GridSpec | None
+) -> tuple[list[Report], SocleTable]:
+    """The oracle reports of ``m``, and the socle table they checked."""
     from .decompose import irreducible_family, primary_decomposition, reconstruct
     from .socle import validate_socle_table
 
@@ -539,4 +547,4 @@ def _verify_real(m: Downset | Interval, grid: GridSpec | None) -> list[Report]:
         reports.append(
             sigma_closure_probe_check(entry.cosets, entry.sigma, entry.tau, sub)
         )
-    return reports
+    return reports, table

@@ -312,6 +312,31 @@ def test_criterion_7_real_discrete_correspondence():
                "cosets on 50 instances")
 
 
+# -- n = 4 --------------------------------------------------------------------
+
+
+def test_n4_reconstruction_exactness():
+    # seed 6 is the hard case: its socle degrees come to 40-111 cells
+    # unless canonicalize absorbs cells contained in others at every size
+    start = time.perf_counter()
+    for seed in range(1, 7):
+        d = random_downset(seed, 4, 5)
+        pd = primary_decomposition(d)  # internal union check is exact
+        fam = irreducible_family(d, table=pd.table)
+        assert equals(reconstruct(fam, d), d.carrier), seed
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120, f"n=4 decomposition took {elapsed:.1f}s"
+    _report(2, f"6 random n=4 downsets reconstructed exactly in {elapsed:.1f}s (< 120s)")
+
+
+def test_n4_real_discrete_correspondence():
+    rng = random.Random(404)
+    for case in range(6):
+        report = correspondence_check(_random_ideal(rng, 4))
+        assert not report.mismatches, case
+    _report(7, "real/discrete correspondence holds on 6 n=4 ideals")
+
+
 # -- 8 ------------------------------------------------------------------------
 
 

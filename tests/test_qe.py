@@ -481,6 +481,18 @@ def test_difference_leaves_cells_the_subtrahend_misses_alone():
     assert difference(s, t).cells == s.cells
 
 
+def test_canonicalize_absorbs_at_every_size():
+    def box(lo, hi):
+        return cell(2, hs([1, 0], hi), hs([-1, 0], -lo), hs([0, 1], hi), hs([0, -1], -lo))
+
+    # 30 cells, none of whose rows contain another's, so only the pairwise
+    # absorb can drop the unit boxes
+    s = plset(2, box(0, 30), *(box(i, i + 1) for i in range(29)))
+    got = canonicalize(s)
+    assert got.cells == (box(0, 30),)
+    assert equals(got, s)
+
+
 def _reference_difference(s, t):
     """Oracle: the plain sweep, which splits every piece by every
     constraint of every subtrahend cell, whether the cell meets the piece
