@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Deterministic work counts of the decompose corpus.
+
+For every instance of the acceptance corpora (``random_downset`` n=2 seeds
+0-99 with budget 8, n=3 seeds 10000-10024 with budget 5), loaded from its
+instance JSON as the CLI does, it starts from cold engine caches, runs the
+primary decomposition, the irreducible family and ``reconstruct``, then
+checks the reconstruction against the carrier with ``qe.equals``.  It
+counts three kinds of work:
+
+* ``cells``: ``qe.Cell`` objects built;
+* ``fm``: ``qe._eliminate_vars`` runs (Fourier-Motzkin eliminations);
+* ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included.
+
+The counts depend on the code alone, not on the machine or its load, so
+they show the cut of a change exactly where wall time is too noisy to.  The
+engine is wrapped from outside; no source file of it changes.  The last
+line is the totals as JSON.
+
+Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3]
+"""
+
+import argparse
+import functools
+import json
+import sys
+
+from staircase import irreducible_family, primary_decomposition, qe, random_downset, reconstruct
+from staircase.jsonio import instance_from_json, instance_to_json
+
+CORPUS = [(s, 2, 8) for s in range(100)] + [(s, 3, 5) for s in range(10_000, 10_025)]
+
+
+def install(counts: dict) -> None:
+    """Count calls of the wrapped functions in ``counts``."""
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    qe.Cell.__post_init__ = counting("cells", qe.Cell.__post_init__)
+    qe._eliminate_vars = counting("fm", qe._eliminate_vars)
+    # every other module calls it through ``qe`` except svg, which is not run here
+    qe.is_empty_cell = counting("is_empty_cell", qe.is_empty_cell)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, choices=(2, 3), help="only the instances of this dimension")
+    args = ap.parse_args(argv)
+    corpus = [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
+    instances = [instance_to_json(random_downset(s, n, b)) for s, n, b in corpus]
+    counts = dict.fromkeys(("cells", "fm", "is_empty_cell"), 0)
+    install(counts)
+    per_n: dict[int, dict] = {}
+    for (_, n, _), obj in zip(corpus, instances):
+        d = instance_from_json(obj)
+        qe.clear_caches()
+        before = dict(counts)
+        pd = primary_decomposition(d)
+        recon = reconstruct(irreducible_family(d, table=pd.table), d)
+        if not qe.equals(recon, d.carrier):
+            print(f"reconstruction differs from the carrier at n={n}", file=sys.stderr)
+            return 1
+        row = per_n.setdefault(n, dict.fromkeys(counts, 0))
+        for key in counts:
+            row[key] += counts[key] - before[key]
+    for n, row in sorted(per_n.items()):
+        print(f"n={n}: " + "  ".join(f"{key} {value:,}" for key, value in row.items()))
+    print(json.dumps({"instances": len(corpus), **counts}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,15 +36,19 @@ def coprincipal(a: PLSet, tau: Face, sigma: Face) -> Downset:
     """The downset ``a + R*tau - (sigma-interior + R^n_+)``.
 
     Translation along ``R*tau`` first makes the result a union of one
-    coprincipal downset per coset of the degrees.
+    coprincipal downset per coset of the degrees.  Memoized on ``a``, so
+    :func:`reconstruct` reuses what :func:`primary_component` built.
     """
     if not tau.coords <= sigma.coords:
         raise FaceError("sigma must contain tau")
     if tau.dim != a.dim or sigma.dim != a.dim:
         raise FaceError("face dimension mismatch")
-    swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
-    hang = upset_cone_cell(sigma).reflected()
-    return Downset(qe.condense(qe.minkowski(swept, hang)))
+    memo = a.__dict__.setdefault("_coprincipal", {})
+    if (tau, sigma) not in memo:
+        swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
+        hang = upset_cone_cell(sigma).reflected()
+        memo[(tau, sigma)] = Downset(qe.condense(qe.minkowski(swept, hang)))
+    return memo[(tau, sigma)]
 
 
 @dataclass(frozen=True)

@@ -200,12 +200,14 @@ def cone_cell(tau: Face) -> Cell:
 
 
 def is_downset(s: PLSet) -> bool:
-    """Exact extensional test ``s = s - R^n_+``."""
-    return qe.equals(s, qe.minkowski(s, orthant_cell(s.dim, negative=True)))
+    """Exact extensional test ``s - R^n_+ ⊆ s``; the other inclusion of
+    ``s = s - R^n_+`` holds for every set, since ``0 ∈ R^n_+``."""
+    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=True)), s)
 
 
 def is_upset(s: PLSet) -> bool:
-    return qe.equals(s, qe.minkowski(s, orthant_cell(s.dim, negative=False)))
+    """Exact extensional test ``s + R^n_+ ⊆ s``, as :func:`is_downset`."""
+    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=False)), s)
 
 
 @dataclass(frozen=True)

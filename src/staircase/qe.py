@@ -128,6 +128,25 @@ class Cell:
             object.__setattr__(self, "_key", cached)
         return cached
 
+    def _row(self, normal: tuple[int, ...]) -> HalfSpace | None:
+        """The row with this normal, if any (normalized rows have one per
+        normal); the index is built on first use."""
+        if "_rows" not in self.__dict__:
+            object.__setattr__(self, "_rows", {h.normal: h for h in self.constraints})
+        return self.__dict__["_rows"].get(normal)
+
+    def implies(self, h: HalfSpace) -> bool:
+        """True when the row parallel to ``h`` is at least as tight (a smaller
+        offset, or equal and strict if ``h`` is), so ``self and not h`` is empty."""
+        r = self._row(h.normal)
+        return r is not None and (r.num * h.den, not r.strict) <= (h.num * r.den, not h.strict)
+
+    def excludes(self, h: HalfSpace) -> bool:
+        """True when the row opposite to ``h``, ``h.normal . x >= -r.offset``,
+        leaves ``h`` no room, so ``self and h`` is empty."""
+        r = self._row(tuple(-c for c in h.normal))
+        return r is not None and (-r.num * h.den, r.strict or h.strict) > (h.num * r.den, False)
+
 
 def cell(dim: int, *constraints: HalfSpace) -> Cell:
     return Cell(dim, tuple(constraints))
@@ -352,7 +371,12 @@ def _light_cleanup(cells_: Iterable[Cell]) -> tuple[Cell, ...]:
 
 
 def _cell_subset_of_cell(a: Cell, b: Cell) -> bool:
-    return all(is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
+    """True iff ``a`` lies in ``b``.  ``a`` must be nonempty, as cells out of
+    :func:`_light_cleanup` are: then a row of ``b`` that ``a`` excludes makes
+    it False, and the rows of ``b`` that ``a`` implies need no FM check."""
+    if any(a.excludes(h) for h in b.constraints):
+        return False
+    return all(a.implies(h) or is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
                for h in b.constraints)
 
 
@@ -437,18 +461,23 @@ def _subtract_cells(
 ) -> list[Cell]:
     """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty.
 
-    A piece ``p`` that ``b`` misses passes unchanged; otherwise ``p \\ b``
-    is covered by the cells ``p and not-h`` for the constraints ``h`` of
-    ``b``.  The budget counts the pieces passed on and these candidates
-    before the cleanup drops the empty ones."""
+    The rows of ``b`` a piece ``p`` does not imply cut it; with none, ``p``
+    lies in ``b`` and is dropped.  A piece that ``b`` misses (seen from a cut
+    row ``p`` excludes, or by FM) passes unchanged; otherwise ``p \\ b`` is
+    covered by the cells ``p and not-h`` for the rows ``h`` of the cut.  The
+    budget counts the pieces passed on and these candidates before the
+    cleanup drops the empty ones."""
     for b in cells_:
         nxt: list[Cell] = []
         for p in pieces:
-            if is_empty_cell(Cell(dim, p.constraints + b.constraints)):
+            cut = [h for h in b.constraints if not p.implies(h)]
+            if not cut:
+                continue
+            if (any(p.excludes(h) for h in cut)
+                    or is_empty_cell(Cell(dim, p.constraints + tuple(cut)))):
                 nxt.append(p)
             else:
-                nxt.extend(Cell(dim, p.constraints + (h.negated(),))
-                           for h in b.constraints)
+                nxt.extend(Cell(dim, p.constraints + (h.negated(),)) for h in cut)
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(nxt))
         if not pieces:

@@ -39,6 +39,7 @@ from .geometry import (
     lower_boundary_direct,
     project_mod,
     reflect_interval,
+    reflect_upset,
     upper_boundary,
     upset_cone_cell,
     zero_face,
@@ -370,9 +371,13 @@ class TopEntry:
         return qe.is_empty(self.degrees)
 
 
-def _as_upset_interval(u: Upset | Interval) -> Interval:
-    if isinstance(u, (Upset, Interval)):
-        return as_interval(u)
+def _mirrored(u: Upset | Interval) -> Downset | Interval:
+    """The module whose socle the tops of ``u`` reflect.  A bare upset mirrors
+    to a downset, skipping the interval route's interior warning and degrees."""
+    if isinstance(u, Upset):
+        return reflect_upset(u)
+    if isinstance(u, Interval):
+        return reflect_interval(u)
     raise ValidationError(f"tops are defined for upsets and intervals, got {type(u).__name__}")
 
 
@@ -385,13 +390,11 @@ def _top_entry(rho: Face, xi: Face, socle_entry: SocleEntry) -> TopEntry:
 
 def top(u: Upset | Interval, rho: Face, xi: Face) -> TopEntry:
     """Top along ``rho`` with attachment ``xi``, by reflecting the socle."""
-    iv = _as_upset_interval(u)
-    return _top_entry(rho, xi, socle(reflect_interval(iv), rho, xi))
+    return _top_entry(rho, xi, socle(_mirrored(u), rho, xi))
 
 
 def top_table(u: Upset | Interval) -> dict[tuple[Face, Face], TopEntry]:
-    iv = _as_upset_interval(u)
-    mirrored = socle_table(reflect_interval(iv))
+    mirrored = socle_table(_mirrored(u))
     return {(rho, xi): _top_entry(rho, xi, e) for (rho, xi), e in mirrored.entries.items()}
 
 

@@ -130,6 +130,27 @@ def test_reflect_downset_is_upset(half_plane):
     assert is_upset(reflect(half_plane.carrier))
 
 
+def _random_sets(n):
+    """1-3 cells of 1-3 rows with normals in {-1, 0, 1}^n: some downsets or
+    upsets, most neither."""
+    normal = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
+    row = st.builds(lambda nr, off, strict: hs(nr, F(off, 2), strict),
+                    normal, st.integers(-3, 3), st.booleans())
+    cells = st.lists(st.lists(row, min_size=1, max_size=3), min_size=1, max_size=3)
+    return cells.map(lambda cs: plset(n, *(cell(n, *rows) for rows in cs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(_random_sets))
+def test_order_closure_tests_match_two_inclusion_definition(s):
+    # is_downset and is_upset test one inclusion; the reference is the
+    # extensional equality s = s -/+ R^n_+, both inclusions included.
+    for test, negative in ((is_downset, True), (is_upset, False)):
+        closed = minkowski(s, orthant_cell(s.dim, negative=negative))
+        assert test(s) == equals(s, closed)
+        assert test(closed)
+
+
 # --- shape_at ------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staircase import (
@@ -40,6 +40,7 @@ from staircase.qe import (
     HalfSpace,
     _eliminate_vars,
     _fm_step,
+    _cell_subset_of_cell,
     _normalize_constraints,
     clear_caches,
     condense,
@@ -522,6 +523,59 @@ def test_difference_matches_reference_sweep(seed, n):
     assert (w is None) == is_empty(expected)
     if w is not None:
         assert s.contains(w) and not t.contains(w)
+
+
+# --- parallel rows decided without FM ------------------------------------------
+
+
+_paired_row = st.tuples(st.integers(0, 2), st.sampled_from((1, -1, 2, -2)), _rat, st.booleans())
+
+
+def _paired_case(n):
+    """Rows along three directions, each taken with either sign and scale,
+    so parallel and opposite pairs of mixed strictness keep turning up."""
+    directions = st.lists(st.tuples(*[st.integers(-1, 1)] * n).filter(any),
+                          min_size=3, max_size=3)
+    rows = st.lists(_paired_row, min_size=1, max_size=5)
+    return st.tuples(st.just(n), directions, rows, rows)
+
+
+def _build(n, directions, rows):
+    return Cell(n, tuple(halfspace([k * c for c in directions[i]], off, strict)
+                         for i, k, off, strict in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(_paired_case))
+def test_implies_and_excludes_are_sound(case):
+    n, directions, rows, other = case
+    c, b = _build(n, directions, rows), _build(n, directions, other)
+    for h in b.constraints:
+        if c.implies(h):
+            assert is_empty_cell(Cell(n, c.constraints + (h.negated(),)))
+        if c.excludes(h):
+            assert is_empty_cell(Cell(n, c.constraints + (h,)))
+        for r in c.constraints:  # two rows meet emptily only if opposite: exact
+            one = Cell(n, (r,))
+            assert one.implies(h) == is_empty_cell(Cell(n, (r, h.negated())))
+            assert one.excludes(h) == is_empty_cell(Cell(n, (r, h)))
+
+
+def _reference_cell_subset(a, b):
+    """Oracle: one FM emptiness check per row of ``b``."""
+    return all(is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
+               for h in b.constraints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(_paired_case))
+def test_cell_subset_matches_fm_reference(case):
+    n, directions, rows, other = case
+    a, b = _build(n, directions, rows), _build(n, directions, other)
+    assume(not is_empty_cell(a))
+    assert _cell_subset_of_cell(a, b) == _reference_cell_subset(a, b)
+    assert _cell_subset_of_cell(a, a)
+    assert _cell_subset_of_cell(a, Cell(n, a.constraints[:1]))
 
 
 # --- integer offsets against a Fraction reference ------------------------------

@@ -49,7 +49,7 @@ from staircase.geometry import (
 )
 from staircase.oracle import boundary_degrees_direct, boundary_probe_check, default_grid
 from staircase.qe import minkowski
-from staircase.socle import boundary_degrees, top_direct, validate_socle_table
+from staircase.socle import _top_entry, boundary_degrees, top_direct, validate_socle_table
 
 from conftest import hs
 
@@ -419,3 +419,18 @@ def test_top_routes_agree(seed):
             assert equals(a.degrees, b.degrees)
             assert equals(a.cosets, b.cosets)
             assert table[(rho, xi)] == a  # the table and the single entry agree cell for cell
+
+
+@pytest.mark.parametrize("seed,n,cells", [(880, 2, 5), (881, 2, 5), (893, 2, 5), (13, 3, 4)])
+def test_upset_tops_match_interval_route(seed, n, cells):
+    # A bare upset mirrors to a downset; the entries must be the ones the
+    # interval route (the upset as an interval, reflected) gives.
+    u = random_upset(seed, n, cells)
+    mirrored = socle_table(reflect_interval(as_interval(u)))
+    table = top_table(u)
+    assert table.keys() == mirrored.entries.keys()
+    for (rho, xi), e in mirrored.entries.items():
+        want = _top_entry(rho, xi, e)
+        for got in (table[(rho, xi)], top(u, rho, xi)):
+            assert equals(got.degrees, want.degrees)
+            assert equals(got.cosets, want.cosets)
