@@ -14,7 +14,10 @@ A change that rewrites cell syntax changes the digest even when every set
 stays the same.  For that case, ``--dump FILE`` writes every answer as
 ``plset_to_json``, and ``--against FILE`` compares each answer with such a
 dump by ``qe.equals``.  It prints the first instance and answer that
-differ and exits 1.
+differ and exits 1.  The dump and the comparison also cover the upper
+boundary ``upper_boundary(d, sigma)`` of every face, the sets the
+benchmark's membership workload tests points against; the digest does not
+hash them.
 
 Usage: PYTHONPATH=src python3 scripts/answer_digest.py [--dump FILE] [--against FILE]
 """
@@ -25,11 +28,13 @@ import sys
 
 from staircase import (
     Face,
+    all_faces,
     irreducible_family,
     primary_decomposition,
     qe,
     random_downset,
     reconstruct,
+    upper_boundary,
 )
 from staircase.jsonio import (
     dumps,
@@ -51,8 +56,9 @@ def rows(s) -> list:
     ]
 
 
-def instance_answers(seed: int, n: int, budget: int) -> list:
-    """The answers of one instance as ``(key, PLSet)`` pairs, in digest order."""
+def instance_answers(seed: int, n: int, budget: int) -> tuple[list, list]:
+    """The answers of one instance as ``(key, PLSet)`` pairs: those the
+    digest hashes, in digest order, and the upper boundary of every face."""
     d = instance_from_json(instance_to_json(random_downset(seed, n, budget)))
     pd = primary_decomposition(d)
     table = pd.table
@@ -66,7 +72,9 @@ def instance_answers(seed: int, n: int, budget: int) -> list:
         out += [(f"{name} interval", comp.interval.carrier),
                 (f"{name} hull", comp.hull.carrier)]
     out.append(("reconstruct", reconstruct(irreducible_family(d, table=table), d)))
-    return out
+    boundaries = [(f"boundary sigma={face_to_json(sigma)}", upper_boundary(d, sigma).carrier)
+                  for sigma in all_faces(n)]
+    return out, boundaries
 
 
 def first_difference(answers: list, recorded: dict) -> str | None:
@@ -93,8 +101,9 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     dump = {}
     for seed, n, budget in CORPUS:
-        answers = instance_answers(seed, n, budget)
+        answers, boundaries = instance_answers(seed, n, budget)
         digest.update(repr((seed, n, [rows(s) for _, s in answers])).encode())
+        answers += boundaries
         instance = f"n={n} seed={seed}"
         if args.dump:
             dump[instance] = {key: plset_to_json(s) for key, s in answers}

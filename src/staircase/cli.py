@@ -33,7 +33,6 @@ from .geometry import (
     Face,
     Interval,
     Upset,
-    as_interval,
     frontier,
     reflect_downset,
     reflect_interval,
@@ -303,10 +302,9 @@ def _dispatch(args) -> int:
     if cmd == "decompose-irreducible":
         pd = primary_decomposition(obj)
         fam = irreducible_family(obj, table=pd.table)
-        base = as_interval(obj)
         recon = reconstruct(fam, obj)
         payload = jsonio.decomposition_to_json(pd, fam)
-        payload["checks"]["reconstructs_base"] = qe.equals(recon, base.carrier)
+        payload["checks"]["reconstructs_base"] = qe.equals(recon, obj.carrier)
         _emit(payload, args.out)
         return 0
 

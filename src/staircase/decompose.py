@@ -24,7 +24,6 @@ from .geometry import (
     PLSet,
     Upset,
     all_faces,
-    as_interval,
     line_cell,
     orthant_cell,
     upset_cone_cell,
@@ -69,8 +68,9 @@ def primary_component(
     m: Downset | Interval, tau: Face, table: SocleTable
 ) -> PrimaryComponent:
     """Union of the coprincipal downsets of all nadir strata along ``tau``,
-    intersected with the carrier."""
-    iv = as_interval(m)
+    intersected with the carrier; ``table`` is ``m``'s socle table, whose
+    base is ``m`` as an interval."""
+    iv = table.base
     if tau not in table.associated_faces():
         raise FaceError(f"face {sorted(tau.coords)} is not associated")
     pieces = qe.empty(iv.dim)
@@ -90,8 +90,8 @@ def primary_component(
 
 
 def primary_decomposition(m: Downset | Interval) -> PrimaryDecomposition:
-    iv = as_interval(m)
     table = socle_table(m)
+    iv = table.base
     components: dict[Face, PrimaryComponent] = {}
     for tau in sorted(table.associated_faces(), key=Face.sort_key):
         components[tau] = primary_component(m, tau, table)
@@ -125,15 +125,14 @@ def irreducible_family(
 
 def reconstruct(family: IrreducibleFamily, base: Downset | Interval) -> PLSet:
     """Union of the coprincipal downsets of the family, cut to the base."""
-    iv = as_interval(base)
-    if family.dim != iv.dim:
+    if family.dim != base.dim:
         raise FaceError("family dimension mismatch")
-    total = qe.empty(iv.dim)
+    total = qe.empty(base.dim)
     for tau, sigma, degrees in family.entries:
         if qe.is_empty(degrees):
             continue
         total = qe.union(total, coprincipal(degrees, tau, sigma).carrier)
-    return qe.canonicalize(qe.intersect(qe.condense(total), iv.carrier))
+    return qe.canonicalize(qe.intersect(qe.condense(total), base.carrier))
 
 
 def is_coprimary(m: Downset | Interval, tau: Face) -> bool:
@@ -228,8 +227,8 @@ def fringe_presentation(i: Downset | Interval) -> FringePresentation:
     closures of its primary components; each component map is the indicator
     inclusion with scalar one.  ``validation`` records the exact check that
     the upset meets the hull union in the original interval."""
-    iv = as_interval(i)
-    decomposition = primary_decomposition(iv)
+    decomposition = primary_decomposition(i)
+    iv = decomposition.base
     hull = tuple(
         decomposition.components[tau].hull
         for tau in sorted(decomposition.components, key=Face.sort_key)

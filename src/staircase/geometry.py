@@ -199,15 +199,33 @@ def cone_cell(tau: Face) -> Cell:
 # Downsets, upsets, intervals
 
 
+def _escape_witness(s: PLSet, negative: bool) -> Vec | None:
+    """A point of ``s - R^n_+`` (if ``negative``, else of ``s + R^n_+``)
+    outside ``s``, or ``None`` when there is none.  That one inclusion
+    decides whether ``s = s ∓ R^n_+``: the other holds for every set, since
+    ``0 ∈ R^n_+``.  The sum is built once, and the witness only when the
+    inclusion fails."""
+    swept = qe.minkowski(s, orthant_cell(s.dim, negative=negative))
+    return None if qe.is_subset(swept, s) else qe.difference_witness(swept, s)
+
+
 def is_downset(s: PLSet) -> bool:
-    """Exact extensional test ``s - R^n_+ ⊆ s``; the other inclusion of
-    ``s = s - R^n_+`` holds for every set, since ``0 ∈ R^n_+``."""
-    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=True)), s)
+    """Exact extensional test ``s - R^n_+ ⊆ s``."""
+    return _escape_witness(s, negative=True) is None
 
 
 def is_upset(s: PLSet) -> bool:
-    """Exact extensional test ``s + R^n_+ ⊆ s``, as :func:`is_downset`."""
-    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=False)), s)
+    """Exact extensional test ``s + R^n_+ ⊆ s``."""
+    return _escape_witness(s, negative=False) is None
+
+
+def _validated(carrier: PLSet, negative: bool, what: str) -> PLSet:
+    """The canonical form of ``carrier``, which must be ``what``."""
+    canonical = qe.canonicalize(carrier)
+    w = _escape_witness(canonical, negative)
+    if w is not None:
+        raise ValidationError(f"not {what}: witness point {w}")
+    return canonical
 
 
 @dataclass(frozen=True)
@@ -215,14 +233,7 @@ class Downset:
     carrier: PLSet
 
     def __post_init__(self) -> None:
-        canonical = qe.canonicalize(self.carrier)
-        object.__setattr__(self, "carrier", canonical)
-        if not is_downset(canonical):
-            w = qe.difference_witness(
-                qe.minkowski(canonical, orthant_cell(canonical.dim, negative=True)),
-                canonical,
-            )
-            raise ValidationError(f"not a downset: witness point {w}")
+        object.__setattr__(self, "carrier", _validated(self.carrier, True, "a downset"))
 
     @property
     def dim(self) -> int:
@@ -234,14 +245,7 @@ class Upset:
     carrier: PLSet
 
     def __post_init__(self) -> None:
-        canonical = qe.canonicalize(self.carrier)
-        object.__setattr__(self, "carrier", canonical)
-        if not is_upset(canonical):
-            w = qe.difference_witness(
-                qe.minkowski(canonical, orthant_cell(canonical.dim, negative=False)),
-                canonical,
-            )
-            raise ValidationError(f"not an upset: witness point {w}")
+        object.__setattr__(self, "carrier", _validated(self.carrier, False, "an upset"))
 
     @property
     def dim(self) -> int:
@@ -336,59 +340,45 @@ def shape_at(d: Downset, a: Iterable[Rat]) -> Shape:
 # Upper boundary functor
 
 
-def _relatively_open_pieces(c: Cell) -> list[Cell]:
-    """Partition a cell by tightness patterns of its non-strict constraints.
-
-    Every point of the cell makes each non-strict constraint either tight
-    (equality) or slack (strict), so the pieces partition the cell, and each
-    piece is an open subset of the affine span of its equalities.  Empty
-    branches are pruned as soon as a partial conjunction is contradictory.
-    """
-    nonstrict = [h for h in c.constraints if not h.strict]
-    base = [h for h in c.constraints if h.strict]
-    pieces: list[Cell] = []
-
-    def rec(i: int, acc: list[HalfSpace]) -> None:
-        if qe.is_empty_cell(Cell(c.dim, tuple(acc) + tuple(nonstrict[i:]))):
-            return
-        if i == len(nonstrict):
-            pieces.append(Cell(c.dim, tuple(acc)))
-            return
-        h = nonstrict[i]
-        rec(i + 1, acc + [h.strictened()])
-        rec(i + 1, acc + [h, h.negated().relaxed()])  # h tight
-
-    rec(0, list(base))
-    return pieces
-
-
 def _is_syntactically_closed(s: PLSet) -> bool:
     return all(not h.strict for c in s.cells for h in c.constraints)
 
 
-def upper_boundary(d: Downset, sigma: Face) -> Downset:
-    """Close the downset along the flats parallel to ``sigma``.
+def _tail_row(h: HalfSpace, sigma: Face) -> HalfSpace:
+    """The condition on ``a`` that ``a - eps*1_sigma`` satisfies ``h`` for all
+    small ``eps > 0``: with ``slope = sum(h.normal[i], i in sigma)`` the
+    left side falls as ``eps`` grows when ``slope > 0`` (``h`` relaxed),
+    rises when ``slope < 0`` (``h`` strict) and stays put when ``slope = 0``
+    (``h`` as it is)."""
+    slope = sum(h.normal[i] for i in sigma.coords)
+    if slope > 0:
+        return h.relaxed()
+    return h.strictened() if slope < 0 else h
 
-    Algorithm: split each cell into relatively open pieces; for such a piece
-    ``C`` meeting an affine flat ``x + R*sigma``, the closure of the slice is
-    ``closure(C) ∩ (x + R*sigma)`` (segment argument inside the flat toward a
-    point of the slice), so the union of slice closures over all flats is
-    ``closure(C) ∩ pi^{-1}(pi(C))`` where ``pi`` projects out the sigma
-    coordinates.  Slices of closed cells are closed, so a syntactically
-    closed downset is returned unchanged.
+
+def upper_boundary(d: Downset, sigma: Face) -> Downset:
+    """The degrees ``a`` whose tail ``a - eps*1_sigma`` lies in ``d`` for all
+    small ``eps > 0`` (the criterion-3 law of :func:`shape_at` and
+    ``socle.boundary_degrees``); that is, ``d`` closed along the flats
+    parallel to ``sigma``.
+
+    Algorithm: one rule per row, cell by cell (:func:`_tail_row`, the cases
+    of ``qe.directional_limit_member``), then ``canonicalize``.  Per cell
+    the rows together say exactly that some initial segment of the open ray
+    ``a - eps*1_sigma`` lies in the cell.  For the union: each convex cell
+    meets the ray in an interval, and finitely many intervals cover an
+    initial segment ``(0, t)`` only if one of them has infimum 0, so by
+    pigeonhole a single cell holds an initial segment.  At the zero face
+    the tail is ``a`` itself.  A closed downset is returned unchanged too:
+    it holds the tail of each of its points and the limit of each tail.
     """
     if sigma.dim != d.dim:
         raise DimensionMismatch("face dimension mismatch")
     if not sigma.coords or _is_syntactically_closed(d.carrier):
         return d
-    out: list[Cell] = []
-    for c in d.carrier.cells:
-        for piece in _relatively_open_pieces(c):
-            cyl = qe.exists(PLSet(d.dim, (piece,)), sigma.coords)
-            closed = tuple(h.relaxed() for h in piece.constraints)
-            for cylcell in cyl.cells:
-                out.append(Cell(d.dim, closed + cylcell.constraints))
-    result = qe.canonicalize(PLSet(d.dim, tuple(out)))
+    out = tuple(Cell(d.dim, tuple(_tail_row(h, sigma) for h in c.constraints))
+                for c in d.carrier.cells)
+    result = qe.canonicalize(PLSet(d.dim, out))
     if not qe.is_subset(d.carrier, result):
         raise InternalCheckFailure("upper boundary lost points of the downset")
     if not qe.is_subset(result, qe.closure(d.carrier)):

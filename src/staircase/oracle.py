@@ -33,7 +33,6 @@ from .geometry import (
     PLSet,
     Upset,
     all_faces,
-    as_interval,
     face_interior,
     frontier,
     indicator_vector,
@@ -510,21 +509,20 @@ def _verify_real(
     from .decompose import irreducible_family, primary_decomposition, reconstruct
     from .socle import validate_socle_table
 
-    iv = as_interval(m)
-    g = grid or default_grid(iv.dim)
+    g = grid or default_grid(m.dim)
     if isinstance(m, Downset):
         closed, front = qe.closure(m.carrier), frontier(m)  # raises on two-route disagreement
         member = lambda p: closed.contains(p) and not front.contains(p)
     else:
-        member = lambda p: iv.upset.carrier.contains(p) and iv.downset.carrier.contains(p)
-    reports = [sample_check_membership(iv.carrier, g, member)]
+        member = lambda p: m.upset.carrier.contains(p) and m.downset.carrier.contains(p)
+    reports = [sample_check_membership(m.carrier, g, member)]
     if isinstance(m, Downset):
-        for sigma in all_faces(iv.dim):
+        for sigma in all_faces(m.dim):
             reports.append(boundary_probe_check(m, sigma, g))
-        reports.append(shape_consistency_check(m, g, Face(iv.dim, frozenset(range(iv.dim)))))
+        reports.append(shape_consistency_check(m, g, Face(m.dim, frozenset(range(m.dim)))))
     else:
-        for sigma in all_faces(iv.dim):
-            reports.append(interval_boundary_probe_check(iv, sigma, g))
+        for sigma in all_faces(m.dim):
+            reports.append(interval_boundary_probe_check(m, sigma, g))
     decomposition = primary_decomposition(m)  # raises on union failure
     table = decomposition.table
     validate_socle_table(table)
@@ -534,8 +532,8 @@ def _verify_real(
     recon = reconstruct(irreducible_family(m, table=table), m)
     rr = Report("irreducible-reconstruction")
     rr.checked = 1
-    if not qe.equals(recon, iv.carrier):
-        rr.record(qe.witness(qe.symmetric_difference(recon, iv.carrier)) or (), True, False)
+    if not qe.equals(recon, m.carrier):
+        rr.record(qe.witness(qe.symmetric_difference(recon, m.carrier)) or (), True, False)
     reports.append(rr)
     for entry in table.nonzero_items():
         qdim = entry.cosets.dim

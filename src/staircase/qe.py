@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .errors import CellLimitExceeded, DimensionMismatch, StaircaseError
@@ -144,7 +144,7 @@ class Cell:
     def excludes(self, h: HalfSpace) -> bool:
         """True when the row opposite to ``h``, ``h.normal . x >= -r.offset``,
         leaves ``h`` no room, so ``self and h`` is empty."""
-        r = self._row(tuple(-c for c in h.normal))
+        r = self._row(tuple(map(neg, h.normal)))
         return r is not None and (-r.num * h.den, r.strict or h.strict) > (h.num * r.den, False)
 
 

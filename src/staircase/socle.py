@@ -124,12 +124,11 @@ def boundary_degrees(m: Downset | Interval, sigma: Face) -> PLSet:
     if isinstance(m, Downset):
         result = upper_boundary(m, sigma).carrier
     elif not sigma.coords:
-        result = as_interval(m).carrier
+        result = m.carrier
     else:
-        iv = as_interval(m)
         result = qe.intersect(
-            upper_boundary(iv.downset, sigma).carrier,
-            qe.minkowski(iv.upset.carrier, face_interior(sigma)),
+            upper_boundary(m.downset, sigma).carrier,
+            qe.minkowski(m.upset.carrier, face_interior(sigma)),
         )
     memo[sigma] = result
     return result

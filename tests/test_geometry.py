@@ -14,6 +14,7 @@ from staircase import (
     cell,
     closure,
     cone_of_shape,
+    directional_limit_member,
     equals,
     face,
     face_interior,
@@ -38,7 +39,8 @@ from staircase import (
     upper_boundary,
     zero_face,
 )
-from staircase.geometry import Shape, lower_boundary_direct, orthant_cell
+from staircase.geometry import Shape, indicator_vector, lower_boundary_direct, orthant_cell
+from staircase.oracle import boundary_degrees_direct
 
 from conftest import hs, rational_grid
 
@@ -122,21 +124,26 @@ def test_is_downset_examples(half_plane):
 
 
 def test_downset_constructor_rejects():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^not a downset: witness point "):
         Downset(plset(2, cell(2, hs([-1, 0], 0))))  # an upset, not a downset
+    with pytest.raises(ValidationError, match="^not an upset: witness point "):
+        Upset(plset(2, cell(2, hs([1, 0], 0))))
 
 
 def test_reflect_downset_is_upset(half_plane):
     assert is_upset(reflect(half_plane.carrier))
 
 
-def _random_sets(n):
-    """1-3 cells of 1-3 rows with normals in {-1, 0, 1}^n: some downsets or
-    upsets, most neither."""
+def _random_rows(n):
+    """Rows with normals in {-1, 0, 1}^n and offsets in halves."""
     normal = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
-    row = st.builds(lambda nr, off, strict: hs(nr, F(off, 2), strict),
-                    normal, st.integers(-3, 3), st.booleans())
-    cells = st.lists(st.lists(row, min_size=1, max_size=3), min_size=1, max_size=3)
+    return st.builds(lambda nr, off, strict: hs(nr, F(off, 2), strict),
+                     normal, st.integers(-3, 3), st.booleans())
+
+
+def _random_sets(n):
+    """1-3 cells of 1-3 rows: some downsets or upsets, most neither."""
+    cells = st.lists(st.lists(_random_rows(n), min_size=1, max_size=3), min_size=1, max_size=3)
     return cells.map(lambda cs: plset(n, *(cell(n, *rows) for rows in cs)))
 
 
@@ -198,6 +205,42 @@ def test_upper_boundary_triangle(triangle_quotient):
     got = upper_boundary(triangle_quotient, face(2, [0]))
     target = plset(2, cell(2, hs([1, 0], 1), hs([0, 1], 1, True), hs([1, 1], 1)))
     assert equals(got.carrier, target)
+
+
+def test_upper_boundary_strictifies_rows_that_rise():
+    # The open quadrant {x<0, y<0} as two cells; the row y <= x of the first
+    # rises along the tail (x, y) - eps*(1, 0), so it must turn strict, or
+    # the origin would enter the boundary through the first cell.
+    d = Downset(plset(2, cell(2, hs([1, 0], 0, True), hs([-1, 1], 0)),
+                      cell(2, hs([0, 1], 0, True), hs([1, -1], 0, True))))
+    assert len(d.carrier.cells) == 2
+    got = upper_boundary(d, face(2, [0])).carrier
+    assert equals(got, plset(2, cell(2, hs([1, 0], 0), hs([0, 1], 0, True))))
+    assert not got.contains([0, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_random_sets(n), _random_rows(n))))
+def test_upper_boundary_is_the_tail_condition(set_and_row):
+    # On every face the boundary is {a : a - eps*1_sigma in d for all small
+    # eps > 0}: checked against the 3n-variable oracle for n <= 2, and point
+    # by point against directional_limit_member on a grid for every n.  The
+    # cells of a swept set are downsets, so no row rises along a tail; the
+    # same set cut in two by a row h has cells whose rows may.
+    s, h = set_and_row
+    n = s.dim
+    swept = minkowski(s, orthant_cell(n, negative=True))
+    cut = plset(n, *(cell(n, *c.constraints, g) for c in swept.cells for g in (h, h.negated())))
+    grid = rational_grid([-2] * n, [2] * n, F(1, 4) if n <= 2 else F(1, 2))
+    for d in (Downset(swept), Downset(cut)):
+        for sigma in all_faces(n):
+            bd = upper_boundary(d, sigma).carrier
+            if n <= 2:
+                assert equals(bd, boundary_degrees_direct(d.carrier, sigma))
+            if sigma.coords:
+                tail = tuple(-x for x in indicator_vector(sigma))
+                for p in grid:
+                    assert bd.contains(p) == directional_limit_member(d.carrier, p, tail)
 
 
 def _boundary_laws(d):
