@@ -64,12 +64,9 @@ class PrimaryDecomposition:
     table: SocleTable
 
 
-def primary_component(
-    m: Downset | Interval, tau: Face, table: SocleTable
-) -> PrimaryComponent:
+def primary_component(tau: Face, table: SocleTable) -> PrimaryComponent:
     """Union of the coprincipal downsets of all nadir strata along ``tau``,
-    intersected with the carrier; ``table`` is ``m``'s socle table, whose
-    base is ``m`` as an interval."""
+    intersected with the carrier of the table's base."""
     iv = table.base
     if tau not in table.associated_faces():
         raise FaceError(f"face {sorted(tau.coords)} is not associated")
@@ -94,7 +91,7 @@ def primary_decomposition(m: Downset | Interval) -> PrimaryDecomposition:
     iv = table.base
     components: dict[Face, PrimaryComponent] = {}
     for tau in sorted(table.associated_faces(), key=Face.sort_key):
-        components[tau] = primary_component(m, tau, table)
+        components[tau] = primary_component(tau, table)
     reunion = qe.empty(iv.dim)
     for comp in components.values():
         reunion = qe.union(reunion, comp.interval.carrier)

@@ -199,32 +199,26 @@ def cone_cell(tau: Face) -> Cell:
 # Downsets, upsets, intervals
 
 
-def _escape_witness(s: PLSet, negative: bool) -> Vec | None:
-    """A point of ``s - R^n_+`` (if ``negative``, else of ``s + R^n_+``)
-    outside ``s``, or ``None`` when there is none.  That one inclusion
-    decides whether ``s = s ∓ R^n_+``: the other holds for every set, since
-    ``0 ∈ R^n_+``.  The sum is built once, and the witness only when the
-    inclusion fails."""
-    swept = qe.minkowski(s, orthant_cell(s.dim, negative=negative))
-    return None if qe.is_subset(swept, s) else qe.difference_witness(swept, s)
-
-
 def is_downset(s: PLSet) -> bool:
-    """Exact extensional test ``s - R^n_+ ⊆ s``."""
-    return _escape_witness(s, negative=True) is None
+    """Exact extensional test ``s - R^n_+ ⊆ s``; the other inclusion of
+    ``s = s - R^n_+`` holds for every set, since ``0 ∈ R^n_+``."""
+    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=True)), s)
 
 
 def is_upset(s: PLSet) -> bool:
-    """Exact extensional test ``s + R^n_+ ⊆ s``."""
-    return _escape_witness(s, negative=False) is None
+    """Exact extensional test ``s + R^n_+ ⊆ s``, as :func:`is_downset`."""
+    return qe.is_subset(qe.minkowski(s, orthant_cell(s.dim, negative=False)), s)
 
 
-def _validated(carrier: PLSet, negative: bool, what: str) -> PLSet:
-    """The canonical form of ``carrier``, which must be ``what``."""
+def _validated(carrier: PLSet, negative: bool) -> PLSet:
+    """The canonical form of ``carrier``, which must be a downset (if
+    ``negative``, else an upset).  On failure the swept set is built a
+    second time, for a witness point of ``s ∓ R^n_+`` outside ``s``."""
     canonical = qe.canonicalize(carrier)
-    w = _escape_witness(canonical, negative)
-    if w is not None:
-        raise ValidationError(f"not {what}: witness point {w}")
+    if not (is_downset if negative else is_upset)(canonical):
+        swept = qe.minkowski(canonical, orthant_cell(canonical.dim, negative=negative))
+        w = qe.difference_witness(swept, canonical)
+        raise ValidationError(f"not {'a downset' if negative else 'an upset'}: witness point {w}")
     return canonical
 
 
@@ -233,7 +227,7 @@ class Downset:
     carrier: PLSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "carrier", _validated(self.carrier, True, "a downset"))
+        object.__setattr__(self, "carrier", _validated(self.carrier, True))
 
     @property
     def dim(self) -> int:
@@ -245,7 +239,7 @@ class Upset:
     carrier: PLSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "carrier", _validated(self.carrier, False, "an upset"))
+        object.__setattr__(self, "carrier", _validated(self.carrier, False))
 
     @property
     def dim(self) -> int:

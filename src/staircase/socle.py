@@ -98,7 +98,7 @@ def min_along(s: PLSet, rho: Face) -> PLSet:
 # Boundary degrees
 
 
-def boundary_degrees(m: Downset | Interval, sigma: Face) -> PLSet:
+def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
     """Degrees atop ``sigma``: the ``a`` whose tail along the open face,
     ``{a - s'' : s'' in sigma-interior, s'' <= s'}`` for some interior
     ``s'``, lies in the module.
@@ -126,9 +126,10 @@ def boundary_degrees(m: Downset | Interval, sigma: Face) -> PLSet:
     elif not sigma.coords:
         result = m.carrier
     else:
+        iv = as_interval(m)  # a bare Upset, from the CLI or jsonio
         result = qe.intersect(
-            upper_boundary(m.downset, sigma).carrier,
-            qe.minkowski(m.upset.carrier, face_interior(sigma)),
+            upper_boundary(iv.downset, sigma).carrier,
+            qe.minkowski(iv.upset.carrier, face_interior(sigma)),
         )
     memo[sigma] = result
     return result

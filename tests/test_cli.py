@@ -10,6 +10,7 @@ from staircase import (
     equals,
     face,
     plset,
+    random_upset,
     socle_table,
     top_table,
 )
@@ -115,6 +116,20 @@ def test_fringe(capsys, tri_ray_path):
     assert code == 0
     assert data["validation"] is True
     assert len(data["hull"]) == 2
+
+
+def test_upset_instance_commands(capsys, tmp_path):
+    # A bare upset instance runs through the downset/interval commands.
+    p = tmp_path / "upset.json"
+    p.write_text(dumps(instance_to_json(random_upset(21000, 2, 4))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for cmd in ("socle", "ass", "decompose-primary"):
+            assert run_json(capsys, cmd, str(p))[0] == 0
+        code, data = run_json(capsys, "decompose-irreducible", str(p))
+        assert code == 0 and data["checks"]["reconstructs_base"] is True
+        code, data = run_json(capsys, "fringe", str(p))
+        assert code == 0 and data["validation"] is True
 
 
 def test_dual_roundtrip(capsys, tmp_path, triangle_quotient):

@@ -25,11 +25,14 @@ from staircase import (
     point_set,
     primary_decomposition,
     random_downset,
+    random_upset,
     reconstruct,
+    socle_table,
     universe,
     verify_minimality,
 )
 from staircase.decompose import IrreducibleFamily
+from staircase.geometry import as_interval
 from staircase.qe import difference
 
 from conftest import hs
@@ -259,3 +262,24 @@ def test_fringe_of_triangle_plus_ray(triangle_plus_ray):
     hull0 = plset(2, cell(2, hs([1, 0], 1, True), hs([0, 1], 1), hs([1, 1], 1)))
     assert equals(fp.hull[0].carrier, hull0)
     assert equals(fp.hull[1].carrier, plset(2, cell(2, hs([0, 1], 0))))
+
+
+@pytest.mark.parametrize("seed,n,cells", [(21000, 2, 4), (21003, 2, 4), (13, 3, 4)])
+def test_bare_upset_matches_interval_route(seed, n, cells):
+    # A bare Upset (as the CLI loads one) and the same upset viewed as an
+    # interval give the same socle table, decomposition and fringe.
+    u = random_upset(seed, n, cells)
+    iv = as_interval(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, want = socle_table(u), socle_table(iv)
+        assert got.entries.keys() == want.entries.keys()
+        for key, e in want.entries.items():
+            assert equals(got.entries[key].degrees, e.degrees)
+            assert equals(got.entries[key].cosets, e.cosets)
+        assert equals(reconstruct(irreducible_family(u, table=got), u), u.carrier)
+        fp, fq = fringe_presentation(u), fringe_presentation(iv)
+    assert fp.validation and fq.validation
+    assert len(fp.hull) == len(fq.hull)
+    for a, b in zip(fp.hull, fq.hull):
+        assert equals(a.carrier, b.carrier)
