@@ -37,7 +37,7 @@ def main(argv: list[str]) -> int:
         decomposition = discrete_primary_decomposition(d)
         assert is_irredundant(d, decomposition.irreducible_pieces())
         assert socle_isomorphism_check(d, decomposition)
-        report = correspondence_check(d)
+        report = correspondence_check(decomposition)
         status = "ok" if report.clean else "MISMATCH"
         bad += 0 if report.clean else 1
         print(f"[{case:>3}] gens={sorted(d.ideal.generators)} "

@@ -2,11 +2,12 @@
 """Deterministic work counts of the decompose corpus.
 
 For every instance of the acceptance corpora (``random_downset`` n=2 seeds
-0-99 with budget 8, n=3 seeds 10000-10024 with budget 5), loaded from its
-instance JSON as the CLI does, it starts from cold engine caches, runs the
-primary decomposition, the irreducible family and ``reconstruct``, then
-checks the reconstruction against the carrier with ``qe.equals``.  It
-counts three kinds of work:
+0-99 with budget 8, n=3 seeds 10000-10024 with budget 5), or with ``--n 4``
+of the n=4 instances ``random_downset(s, 4, 5)`` for s = 1-6 (seed 6 is
+the hard case), loaded from its instance JSON as the CLI does, it starts
+from cold engine caches, runs the primary decomposition, the irreducible
+family and ``reconstruct``, then checks the reconstruction against the
+carrier with ``qe.equals``.  It counts three kinds of work:
 
 * ``cells``: ``qe.Cell`` objects built;
 * ``fm``: ``qe._eliminate_vars`` runs (Fourier-Motzkin eliminations);
@@ -17,7 +18,7 @@ they show the cut of a change exactly where wall time is too noisy to.  The
 engine is wrapped from outside; no source file of it changes.  The last
 line is the totals as JSON.
 
-Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3]
+Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3|4]
 """
 
 import argparse
@@ -29,6 +30,7 @@ from staircase import irreducible_family, primary_decomposition, qe, random_down
 from staircase.jsonio import instance_from_json, instance_to_json
 
 CORPUS = [(s, 2, 8) for s in range(100)] + [(s, 3, 5) for s in range(10_000, 10_025)]
+N4 = [(s, 4, 5) for s in range(1, 7)]
 
 
 def install(counts: dict) -> None:
@@ -50,9 +52,10 @@ def install(counts: dict) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, choices=(2, 3), help="only the instances of this dimension")
+    ap.add_argument("--n", type=int, choices=(2, 3, 4),
+                    help="only the instances of this dimension (4: the n=4 instances)")
     args = ap.parse_args(argv)
-    corpus = [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
+    corpus = N4 if args.n == 4 else [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
     instances = [instance_to_json(random_downset(s, n, b)) for s, n, b in corpus]
     counts = dict.fromkeys(("cells", "fm", "is_empty_cell"), 0)
     install(counts)

@@ -10,6 +10,7 @@ check or oracle failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -104,7 +105,9 @@ def _require_downset(obj, what: str) -> Downset:
     return obj
 
 
+@functools.cache
 def build_parser() -> _CliParser:
+    """The argument tree, built once per process and shared by every call."""
     p = _CliParser(prog="staircase", description=__doc__)
     p.add_argument("--cell-limit", type=int, default=None, help="expansion guard")
     sub = p.add_subparsers(dest="command", required=True)

@@ -324,10 +324,7 @@ def shape_at(d: Downset, a: Iterable[Rat]) -> Shape:
             direction = tuple(-x for x in indicator_vector(f))
             if qe.directional_limit_member(d.carrier, av, direction):
                 members.append(f)
-    result = Shape(d.dim, frozenset(members))  # constructor asserts upward closure
-    if (zero_face(d.dim) in result.faces) != d.carrier.contains(av):
-        raise InternalCheckFailure("zero face membership disagrees with point membership")
-    return result
+    return Shape(d.dim, frozenset(members))  # constructor asserts upward closure
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +405,8 @@ def localize(d: Downset, tau: Face) -> Downset:
     if not tau.coords:
         return d
     bad = qe.minkowski(qe.complement(d.carrier), cone_cell(tau).reflected())
-    result = qe.canonicalize(qe.complement(bad))
-    loc = Downset(result)
-    if not qe.equals(result, qe.minkowski(result, line_cell(tau))):
+    loc = Downset(qe.complement(bad))
+    if not qe.equals(loc.carrier, qe.minkowski(loc.carrier, line_cell(tau))):
         raise InternalCheckFailure("localization is not R*tau invariant")
     return loc
 
@@ -457,4 +453,4 @@ def lower_boundary_direct(u: Upset, xi: Face) -> Upset:
     if not xi.coords:
         return u
     bad = qe.minkowski(qe.complement(u.carrier), face_interior(xi).reflected())
-    return Upset(qe.canonicalize(qe.complement(bad)))
+    return Upset(qe.complement(bad))

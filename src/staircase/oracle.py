@@ -408,22 +408,19 @@ def real_staircase(decomposition: DiscreteDecomposition) -> Downset:
     return Downset(PLSet(n, tuple(cells)))
 
 
-def correspondence_check(d: DiscreteDownset) -> Report:
-    """Closed socle strata of the real staircase must project to exactly the
-    discrete cogenerator cosets, face by face."""
-    decomposition = discrete_primary_decomposition(d)
+def correspondence_check(decomposition: DiscreteDecomposition) -> Report:
+    """Closed socle strata of the real staircase of a discrete decomposition
+    must project to exactly its cogenerator cosets, face by face."""
     report = Report("real-discrete-correspondence")
     staircase = real_staircase(decomposition)
-    n = d.dim
+    n = decomposition.dim
     for tau in all_faces(n):
         report.checked += 1
         entry = socle(staircase, tau, tau).cosets  # closed stratum: nadir = face
         off = sorted(set(range(n)) - tau.coords)
         reps = decomposition.cogenerators.get(frozenset(tau.coords), ())
         points = [tuple(Fraction(r[j]) for j in off) for r in reps]
-        target = qe.empty(n - len(tau.coords))
-        for p in points:
-            target = qe.union(target, qe.point_set(p))
+        target = qe.union(qe.empty(n - len(tau.coords)), *map(qe.point_set, points))
         if not qe.equals(entry, target):
             w = qe.witness(qe.symmetric_difference(entry, target))
             report.record(w or (), "discrete cosets", "real closed stratum")
@@ -469,7 +466,7 @@ def verify_instance(
         if not socle_isomorphism_check(obj, decomposition):
             r2.record((), True, False)
         out.reports.append(r2)
-        out.reports.append(correspondence_check(obj))
+        out.reports.append(correspondence_check(decomposition))
         return out
 
     if isinstance(obj, Upset):

@@ -426,14 +426,15 @@ def canonicalize(s: PLSet) -> PLSet:
 
 
 def condense(s: PLSet) -> PLSet:
-    """The cleanup applied at choke points: :func:`canonicalize`.
-
-    The name stays because the benchmark's traced run counts calls under
-    ``qe.condense``.  A covering pass that drops every cell covered by the
-    union of the others does not pay here, since the difference sweep
-    leaves the pieces a subtrahend misses unsplit: with that pass,
-    decomposing the seeded corpus (as in :func:`canonicalize`) took 34 s
-    instead of 22 s on a 2-vCPU machine."""
+    """:func:`canonicalize` on socle strata and degrees, and at the two
+    intermediate points measured to pay: the escape set of
+    ``socle.max_along``/``min_along`` and the union in ``decompose.reconstruct``.
+    Elsewhere only results are canonicalized.  The name stays because the
+    benchmark's traced run counts calls under ``qe.condense``.  A covering
+    pass that drops every cell covered by the union of the others does not
+    pay here, since the difference sweep leaves the pieces a subtrahend
+    misses unsplit: with that pass, decomposing the seeded corpus (as in
+    :func:`canonicalize`) took 34 s instead of 22 s on a 2-vCPU machine."""
     return canonicalize(s)
 
 
@@ -544,7 +545,11 @@ def exists(s: PLSet, coords: Iterable[int]) -> PLSet:
 
 
 def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
-    """Image of ``s`` under deletion of the listed coordinates."""
+    """Image of ``s`` under deletion of the listed coordinates.
+
+    The cylinder's rows are zero in those columns, and deleting zero columns
+    is injective on rows, so its cells stay nonempty, distinct and
+    unabsorbed: they need no second cleanup."""
     idxs = frozenset(coords)
     cyl = exists(s, idxs)
     new_dim = s.dim - len(idxs)
@@ -555,7 +560,7 @@ def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
             for h in c.constraints
         )
         out.append(Cell(new_dim, cons))
-    return PLSet(new_dim, _light_cleanup(out))
+    return PLSet(new_dim, tuple(out))
 
 
 def closure(s: PLSet) -> PLSet:

@@ -26,7 +26,6 @@ from typing import Mapping
 from . import qe
 from .errors import DimensionMismatch, FaceError, ValidationError
 from .geometry import (
-    Cell,
     Downset,
     Face,
     Interval,
@@ -46,51 +45,46 @@ from .geometry import (
 )
 
 
-def _m_tau_cells(tau: Face) -> list[Cell]:
+def _m_tau(tau: Face) -> PLSet:
     """The punctured cone ``R^n_+ minus tau`` as cells ``{q >= 0, q_j > 0}``."""
-    return [
-        upset_cone_cell(Face(tau.dim, frozenset({j})))
-        for j in sorted(tau.codim_coords)
-    ]
+    return PLSet(tau.dim, tuple(
+        upset_cone_cell(Face(tau.dim, frozenset({j}))) for j in sorted(tau.codim_coords)))
 
 
 def max_along(s: PLSet, tau: Face) -> PLSet:
     """Degrees ``a`` of ``s`` with ``(a + R^n_+) ∩ s  =  a + tau``.
 
     Computed as ``s`` minus the degrees that survive a push outside ``tau``
-    (one Minkowski sum per punctured-cone cell) minus the degrees whose
+    (one Minkowski sum with the punctured-cone cells) minus the degrees whose
     forward ``tau``-ray escapes ``s`` (one complement and one Minkowski sum).
+    Any ``s`` gives the same set, but ``s`` should come condensed, as socle
+    strata do: this runs no cleanup on it.  The result is condensed.
     """
     if tau.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
-    s = qe.condense(s)
-    escape_cells: list[Cell] = []
-    for k in _m_tau_cells(tau):
-        escape_cells.extend(qe.minkowski(s, k.reflected()).cells)
-    result = qe.difference(s, qe.condense(PLSet(s.dim, tuple(escape_cells))))
+    escape = qe.minkowski(s, qe.reflect(_m_tau(tau)))
+    # Pays at n=4: without it, n=4 cells built 90,689 -> 109,195 (n<=3: 132,845 -> 112,429).
+    result = qe.difference(s, qe.condense(escape))
     if result.cells and tau.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(tau).reflected())
-        result = qe.difference(result, qe.condense(unstable))
+        result = qe.difference(result, unstable)
     return qe.condense(result)
 
 
 def min_along(s: PLSet, rho: Face) -> PLSet:
     """Oracle route: order dual of :func:`max_along`,
-    ``(a - R^n_+) ∩ s = a - rho``.
+    ``(a - R^n_+) ∩ s = a - rho``, with the same cleanup points.
 
     Coded without any reflection so the generator-side pipeline is an
     independent implementation.
     """
     if rho.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
-    s = qe.condense(s)
-    escape_cells: list[Cell] = []
-    for k in _m_tau_cells(rho):
-        escape_cells.extend(qe.minkowski(s, k).cells)
-    result = qe.difference(s, qe.condense(PLSet(s.dim, tuple(escape_cells))))
+    escape = qe.minkowski(s, _m_tau(rho))
+    result = qe.difference(s, qe.condense(escape))  # pays, as in max_along
     if result.cells and rho.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(rho))
-        result = qe.difference(result, qe.condense(unstable))
+        result = qe.difference(result, unstable)
     return qe.condense(result)
 
 
@@ -261,9 +255,7 @@ def validate_socle_table(table: SocleTable) -> None:
             raise ValidationError("cosets are not the projection of the degrees")
         qdim = n - len(tau.coords)
         if qdim > 0 and e.cosets.cells:
-            bumped = qe.PLSet(qdim, ())
-            for k in _m_tau_cells(zero_face(qdim)):
-                bumped = qe.union(bumped, qe.minkowski(e.cosets, k))
+            bumped = qe.minkowski(e.cosets, _m_tau(zero_face(qdim)))
             if not qe.is_empty(qe.intersect(e.cosets, bumped)):
                 raise ValidationError("socle cosets are not an antichain")
         for (tau2, sigma2), e2 in table.entries.items():
@@ -337,12 +329,9 @@ def density_report(b: FamilyMap | SocleTable, a: SocleTable) -> DensityReport:
     failures = []
     for tau in all_faces(a.dim):
         qdim = a.dim - len(tau.coords)
-        pool = qe.empty(qdim)
-        for sigma in all_faces(a.dim):
-            if tau.coords <= sigma.coords:
-                part = bmap.get((tau, sigma))
-                if part is not None:
-                    pool = qe.union(pool, part)
+        pool = qe.union(qe.empty(qdim), *(
+            bmap[(tau, sigma)] for sigma in all_faces(a.dim)
+            if tau.coords <= sigma.coords and (tau, sigma) in bmap))
         for sigma in all_faces(a.dim):
             if not tau.coords <= sigma.coords:
                 continue
@@ -383,8 +372,9 @@ def _mirrored(u: Upset | Interval) -> Downset | Interval:
 
 def _top_entry(rho: Face, xi: Face, socle_entry: SocleEntry) -> TopEntry:
     """The top along ``rho`` with attachment ``xi`` read off the socle entry
-    of the reflected module: reflect its degrees, then project them."""
-    degrees = qe.canonicalize(qe.reflect(socle_entry.degrees))
+    of the reflected module: reflect its degrees, then project them.  The
+    degrees come canonical, and reflection keeps them so, row for row."""
+    degrees = qe.reflect(socle_entry.degrees)
     return TopEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))
 
 

@@ -305,7 +305,7 @@ def test_criterion_7_real_discrete_correspondence():
     for case in range(50):
         n = 2 if case < 35 else 3
         d = _random_ideal(rng, n)
-        report = correspondence_check(d)
+        report = correspondence_check(discrete_primary_decomposition(d))
         mismatches += len(report.mismatches)
     assert mismatches == 0
     _report(7, "closed real staircase socle strata match discrete cogenerator "
@@ -332,7 +332,8 @@ def test_n4_reconstruction_exactness():
 def test_n4_real_discrete_correspondence():
     rng = random.Random(404)
     for case in range(6):
-        report = correspondence_check(_random_ideal(rng, 4))
+        d = _random_ideal(rng, 4)
+        report = correspondence_check(discrete_primary_decomposition(d))
         assert not report.mismatches, case
     _report(7, "real/discrete correspondence holds on 6 n=4 ideals")
 

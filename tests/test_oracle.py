@@ -16,6 +16,7 @@ from staircase import (
     cell,
     correspondence_check,
     default_grid,
+    discrete_primary_decomposition,
     equals,
     face,
     is_downset,
@@ -144,7 +145,7 @@ def test_real_staircase_of_x2_xy():
 def test_correspondence_examples():
     for gens in [((2, 0), (1, 1)), ((1, 0), (0, 1)), ((2, 1), (1, 2)), ((1, 0),)]:
         d = DiscreteDownset(DiscreteIdeal(2, gens))
-        assert correspondence_check(d).clean
+        assert correspondence_check(discrete_primary_decomposition(d)).clean
 
 
 def test_verify_instance_downset(half_plane):

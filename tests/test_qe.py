@@ -40,6 +40,7 @@ from staircase.qe import (
     HalfSpace,
     _eliminate_vars,
     _fm_step,
+    _light_cleanup,
     _cell_subset_of_cell,
     _normalize_constraints,
     clear_caches,
@@ -361,6 +362,23 @@ def test_canonicalize_preserves_extension(s):
 @given(_plsets(2))
 def test_reflect_involution(s):
     assert equals(reflect(reflect(s)), s)
+
+
+def _sets_and_coords(n):
+    return st.tuples(_plsets(n), st.sets(st.integers(0, n - 1), max_size=n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(_sets_and_coords))
+def test_no_cleanup_after_eliminate_or_reflect(case):
+    # eliminate runs no cleanup after deleting the zero columns, and a
+    # reflected canonical set is not canonicalized again: neither pass
+    # would drop or change a cell
+    s, coords = case
+    projected = eliminate(s, coords)
+    assert _light_cleanup(projected.cells) == projected.cells
+    c = canonicalize(s)
+    assert canonicalize(reflect(c)).cells == reflect(c).cells
 
 
 @settings(max_examples=30, deadline=None)

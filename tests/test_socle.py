@@ -15,6 +15,7 @@ from staircase import (
     all_faces,
     associated_faces,
     attached_faces,
+    canonicalize,
     cell,
     closure,
     density_report,
@@ -80,6 +81,18 @@ def test_max_along_antichain():
 def test_max_along_stable_ray():
     s = plset(2, cell(2, hs([0, 1], 0), hs([0, -1], 0), hs([-1, 0], 0)))
     assert equals(max_along(s, face(2, [0])), s)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 2), (5, 2), (10003, 3)])
+def test_max_along_needs_no_canonical_input(seed, n):
+    # max_along runs no cleanup on its input: a canonical set with every
+    # cell cut in two by a row, then listed twice, gives the same set
+    s = canonicalize(random_downset(seed, n, 5).carrier)
+    h = hs([1] + [-1] * (n - 1), F(1, 2))
+    cut = [cell(n, *c.constraints, g) for c in s.cells for g in (h, h.negated())]
+    messy = plset(n, *cut, *cut)
+    for tau in all_faces(n):
+        assert equals(max_along(messy, tau), max_along(s, tau)), tau
 
 
 # --- strata ---------------------------------------------------------------------
