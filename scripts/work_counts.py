@@ -15,8 +15,9 @@ carrier with ``qe.equals``.  It counts three kinds of work:
 
 The counts depend on the code alone, not on the machine or its load, so
 they show the cut of a change exactly where wall time is too noisy to.  The
-engine is wrapped from outside; no source file of it changes.  The last
-line is the totals as JSON.
+engine is wrapped from outside; no source file of it changes.  Counting
+starts after every instance is loaded, so the last line, the totals as
+JSON, is the sum of the printed rows.
 
 Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3|4]
 """
@@ -56,12 +57,12 @@ def main(argv=None) -> int:
                     help="only the instances of this dimension (4: the n=4 instances)")
     args = ap.parse_args(argv)
     corpus = N4 if args.n == 4 else [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
-    instances = [instance_to_json(random_downset(s, n, b)) for s, n, b in corpus]
+    instances = [instance_from_json(instance_to_json(random_downset(s, n, b)))
+                 for s, n, b in corpus]
     counts = dict.fromkeys(("cells", "fm", "is_empty_cell"), 0)
     install(counts)
     per_n: dict[int, dict] = {}
-    for (_, n, _), obj in zip(corpus, instances):
-        d = instance_from_json(obj)
+    for (_, n, _), d in zip(corpus, instances):
         qe.clear_caches()
         before = dict(counts)
         pd = primary_decomposition(d)

@@ -34,7 +34,6 @@ from .geometry import (
     Face,
     Interval,
     Upset,
-    frontier,
     reflect_downset,
     reflect_interval,
     reflect_upset,
@@ -48,6 +47,7 @@ from .socle import (
     associated_faces,
     attached_faces,
     density_report,
+    frontier,
     socle,
     socle_table,
     top,

@@ -3,8 +3,8 @@
 Faces of the positive cone are coordinate subsets; the face lattice is the
 boolean lattice on axes.  This module provides face/shape bookkeeping,
 validated downsets, upsets and intervals, tangent-cone shapes at points,
-upper- and lower-boundary functors, frontiers, localization and
-quotient-restriction.
+upper- and lower-boundary functors, localization and quotient-restriction.
+The frontier lives in :mod:`socle`, beside the boundary memo it reads.
 
 Faces are 0-based internally; the JSON layer renders them 1-based.
 """
@@ -107,14 +107,13 @@ class Shape:
             raise ValidationError("shape is not upward closed in the face lattice")
 
     def is_upward_closed(self) -> bool:
-        universe = frozenset(range(self.dim))
-        for f in self.faces:
-            extra = universe - f.coords
-            for r in range(1, len(extra) + 1):
-                for add in itertools.combinations(extra, r):
-                    if Face(self.dim, f.coords | set(add)) not in self.faces:
-                        return False
-        return True
+        """Checks the one-step extensions ``f ∪ {j}`` only: by induction on
+        the number of added axes, every larger face then follows."""
+        return all(
+            Face(self.dim, f.coords | {j}) in self.faces
+            for f in self.faces
+            for j in f.codim_coords
+        )
 
     def minimal_faces(self) -> frozenset[Face]:
         """The antichain of inclusion-minimal members."""
@@ -375,17 +374,6 @@ def upper_boundary(d: Downset, sigma: Face) -> Downset:
     if not qe.is_subset(result, qe.closure(d.carrier)):
         raise InternalCheckFailure("upper boundary escaped the closure")
     return Downset(result)  # constructor re-checks downset-ness
-
-
-def frontier(d: Downset) -> PLSet:
-    """Points of the closure outside the downset, computed two ways."""
-    via_boundary = qe.difference(
-        upper_boundary(d, full_face(d.dim)).carrier, d.carrier
-    )
-    via_closure = qe.difference(qe.closure(d.carrier), d.carrier)
-    if not qe.equals(via_boundary, via_closure):
-        raise InternalCheckFailure("frontier routes disagree")
-    return qe.canonicalize(via_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .geometry import (
     Upset,
     all_faces,
     face_interior,
-    frontier,
     indicator_vector,
     interval,
     reflect_downset,
@@ -43,7 +42,7 @@ from .geometry import (
     upset_cone_cell,
 )
 from .rationals import HalfSpace, Vec, dot, frac, vec
-from .socle import SocleTable, _quotient_face, boundary_degrees, sigma_closure, socle
+from .socle import SocleTable, _quotient_face, boundary_degrees, frontier, sigma_closure, socle
 
 
 @dataclass(frozen=True)

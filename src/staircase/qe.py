@@ -638,18 +638,18 @@ def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bo
     pv, _ = scaled(dv)
 
     def cell_ok(c: Cell) -> bool:
-        for h in c.constraints:
+        for normal, num, den, strict in c.constraints:
             # l.a - c has the sign of l.(pa) * den - num * d, as d, den > 0.
-            la = sum(map(mul, h.normal, pa)) * h.den
-            rhs = h.num * d
+            la = sum(map(mul, normal, pa)) * den
+            rhs = num * d
             if la < rhs:
                 continue
             if la > rhs:
                 return False
-            lv = sum(map(mul, h.normal, pv))
+            lv = sum(map(mul, normal, pv))
             if lv < 0:
                 continue
-            if lv == 0 and not h.strict:
+            if lv == 0 and not strict:
                 continue
             return False
         return True

@@ -10,6 +10,7 @@ predicates downstream stay decidable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -82,10 +83,7 @@ def parse_rational(obj: object) -> Fraction:
 # Half-spaces --------------------------------------------------------------
 
 
-_set = object.__setattr__
-
-
-class HalfSpace:
+class HalfSpace(namedtuple("_Row", "normal num den strict")):
     """``{x : normal . x < offset}`` when strict, ``<=`` otherwise.
 
     Stored in canonical form, all in ints: ``normal`` is a primitive
@@ -94,20 +92,16 @@ class HalfSpace:
     ``num/den`` with ``den > 0``.  That is the primitive integer row
     ``(den*normal, num)``, so two half-spaces with nonzero normals are
     ``==`` exactly when they denote the same set, and the value itself is
-    the dedup and cache key; equality and the hash compare ints only.  A
-    zero normal is the canonical TRUE/FALSE constraint; the sign of ``num``
-    decides which.  ``offset`` is ``num/den`` as a ``Fraction``, for
-    readers off the hot paths.
+    the dedup and cache key.  A half-space is the tuple
+    ``(normal, num, den, strict)``: equality, hashing and immutability are
+    the tuple's, over ints only.  A zero normal is the canonical TRUE/FALSE
+    constraint; the sign of ``num`` decides which.  ``offset`` is
+    ``num/den`` as a ``Fraction``, for readers off the hot paths.
     """
 
-    __slots__ = ("normal", "num", "den", "strict")
+    __slots__ = ()
 
-    normal: tuple[int, ...]
-    num: int
-    den: int
-    strict: bool
-
-    def __init__(self, normal: Iterable[Rat], offset: Rat, strict: bool = False) -> None:
+    def __new__(cls, normal: Iterable[Rat], offset: Rat, strict: bool = False) -> "HalfSpace":
         normal = normal if type(normal) is tuple else tuple(normal)
         if type(offset) is int:
             num, den = offset, 1
@@ -119,29 +113,10 @@ class HalfSpace:
             scale = lcm(*(c.denominator for c in rats))
             normal = tuple(c.numerator * (scale // c.denominator) for c in rats)
             num *= scale
-        _init(self, *reduce_row(normal, num, den), strict)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HalfSpace is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("HalfSpace is immutable")
+        return tuple.__new__(cls, (*reduce_row(normal, num, den), strict))
 
     def __reduce__(self) -> tuple:
-        return int_row, (self.normal, self.num, self.den, self.strict)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not HalfSpace:
-            return NotImplemented
-        return self is other or (
-            self.num == other.num
-            and self.den == other.den
-            and self.strict == other.strict
-            and self.normal == other.normal
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.normal, self.num, self.den, self.strict))
+        return int_row, tuple(self)
 
     def __repr__(self) -> str:
         return f"HalfSpace({self.normal!r}, {self.offset!r}, {self.strict!r})"
@@ -163,9 +138,10 @@ class HalfSpace:
 
     def holds_scaled(self, p: Sequence[int], d: int) -> bool:
         """``holds`` at the point ``p / d`` (integer ``p``, ``d > 0``)."""
-        lhs = sum(map(mul, self.normal, p)) * self.den
-        rhs = self.num * d
-        return lhs < rhs if self.strict else lhs <= rhs
+        normal, num, den, strict = self
+        lhs = sum(map(mul, normal, p)) * den
+        rhs = num * d
+        return lhs < rhs if strict else lhs <= rhs
 
     def is_zero_normal(self) -> bool:
         return not any(self.normal)
@@ -189,18 +165,9 @@ class HalfSpace:
         return int_row(tuple(-c for c in self.normal), self.num, self.den, self.strict)
 
 
-def _init(h: HalfSpace, normal: tuple[int, ...], num: int, den: int, strict: bool) -> None:
-    _set(h, "normal", normal)
-    _set(h, "num", num)
-    _set(h, "den", den)
-    _set(h, "strict", strict)
-
-
 def int_row(normal: tuple[int, ...], num: int, den: int, strict: bool) -> HalfSpace:
     """A half-space from parts already in canonical form; no coercion."""
-    h = object.__new__(HalfSpace)
-    _init(h, normal, num, den, strict)
-    return h
+    return tuple.__new__(HalfSpace, (normal, num, den, strict))
 
 
 def reduce_row(

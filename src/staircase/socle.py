@@ -7,9 +7,10 @@ outside ``tau``, persist along ``tau``, and are reached as limits along
 degreewise on piecewise-linear carriers:
 
 * boundary degrees atop ``sigma``: the upper boundary of the downset part,
-  cut down to the upset part plus the relative interior of ``sigma``;
+  cut down to the upset part plus the relative interior of ``sigma``,
+  memoized per instance (the frontier reads the full-face one);
 * the nadir stratification subtracts the boundary degrees of all smaller
-  faces between ``tau`` and ``sigma``;
+  faces between ``tau`` and ``sigma``, largest face first;
 * the closed-socle step keeps the degrees that are maximal modulo ``tau``.
 
 The dual generator functors (tops along faces, attached faces) are obtained
@@ -19,12 +20,13 @@ cross-checking.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import qe
-from .errors import DimensionMismatch, FaceError, ValidationError
+from .errors import DimensionMismatch, FaceError, InternalCheckFailure, ValidationError
 from .geometry import (
     Downset,
     Face,
@@ -35,6 +37,7 @@ from .geometry import (
     as_interval,
     cone_cell,
     face_interior,
+    full_face,
     lower_boundary_direct,
     project_mod,
     reflect_interval,
@@ -63,7 +66,8 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
     if tau.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
     escape = qe.minkowski(s, qe.reflect(_m_tau(tau)))
-    # Pays at n=4: without it, n=4 cells built 90,689 -> 109,195 (n<=3: 132,845 -> 112,429).
+    # Pays at n=4: without it, n=4 cells 82,673 -> 101,179, is_empty_cell
+    # 99,166 -> 140,554 (n<=3 cells: 126,690 -> 108,171).
     result = qe.difference(s, qe.condense(escape))
     if result.cells and tau.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(tau).reflected())
@@ -127,6 +131,17 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
         )
     memo[sigma] = result
     return result
+
+
+def frontier(d: Downset) -> PLSet:
+    """Points of the closure outside the downset, computed two ways.  The
+    boundary route reads the full-face boundary from the instance's memo,
+    so after a socle table it builds no boundary of its own."""
+    via_boundary = qe.difference(boundary_degrees(d, full_face(d.dim)), d.carrier)
+    via_closure = qe.difference(qe.closure(d.carrier), d.carrier)
+    if not qe.equals(via_boundary, via_closure):
+        raise InternalCheckFailure("frontier routes disagree")
+    return qe.canonicalize(via_boundary)
 
 
 def interval_interior_warning(m: Interval) -> bool:
@@ -193,15 +208,19 @@ class SocleTable:
 
 
 def _faces_between(tau: Face, sigma: Face) -> list[Face]:
-    """Faces ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma``."""
-    import itertools
+    """Faces ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma``, largest first.
 
+    Strata subtract their boundaries in this order.  For a downset the
+    boundary atop ``sigma'`` lies in the one atop any larger face (as
+    ``a - eps*1_sigma <= a - eps*1_sigma'``), so once the largest faces are
+    subtracted the smaller ones cut nothing.
+    """
     extra = sorted(sigma.coords - tau.coords)
     out = []
     for r in range(len(extra)):
         for combo in itertools.combinations(extra, r):
             out.append(Face(tau.dim, tau.coords | set(combo)))
-    return out
+    return out[::-1]
 
 
 def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:

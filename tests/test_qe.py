@@ -50,7 +50,7 @@ from staircase.qe import (
     witness_cell,
 )
 
-from staircase.rationals import dot
+from staircase.rationals import dot, int_row
 
 from conftest import hs, rational_grid
 
@@ -784,3 +784,16 @@ def test_halfspace_is_immutable_and_copies():
             mutate()
     for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
         assert twin == h and hash(twin) == hash(h)
+
+
+def test_halfspace_is_its_canonical_tuple():
+    # equality, hashing and immutability are the tuple's, over the four
+    # canonical parts, and int_row rebuilds the row from them as it is
+    for h in (
+        HalfSpace((2, F(1, 2)), F(3, 4), True),
+        HalfSpace((0, -3, 6), 9),
+        HalfSpace((0, 0), -1, True),
+    ):
+        assert tuple(h) == (h.normal, h.num, h.den, h.strict)
+        assert hash(h) == hash(tuple(h))
+        assert int_row(*h) == h

@@ -1,6 +1,7 @@
 """Cogenerator functors: socles, strata, sigma-closure, density, tops."""
 
 import importlib
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from staircase import (
     difference,
     equals,
     face,
+    frontier,
     full_face,
     interval,
     is_dense_family,
@@ -264,6 +266,50 @@ def test_boundary_probes_share_the_socle_tables_boundaries(monkeypatch):
         monkeypatch.setattr(importlib.import_module(module), "upper_boundary", counted)
     socle_table(d)
     assert calls == []
+
+
+def test_frontier_reads_the_socle_tables_full_face_boundary(monkeypatch):
+    d = random_downset(7, 2, 8)
+    socle_table(d)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return upper_boundary(*args)
+
+    for module in ("staircase.socle", "staircase.geometry"):
+        monkeypatch.setattr(importlib.import_module(module), "upper_boundary", counted)
+    front = frontier(d)
+    assert calls == []
+    assert not is_empty(front)
+    assert equals(front, difference(closure(d.carrier), d.carrier))
+
+
+def _stratum_smallest_first(m, tau, sigma):
+    """Reference: the boundary atop ``sigma`` minus those atop the faces
+    between ``tau`` and ``sigma``, subtracted smallest face first."""
+    extra = sorted(sigma.coords - tau.coords)
+    result = boundary_degrees(m, sigma)
+    for r in range(len(extra)):
+        for combo in itertools.combinations(extra, r):
+            result = difference(result, boundary_degrees(m, face(m.dim, tau.coords | set(combo))))
+    return result
+
+
+@pytest.mark.parametrize(
+    "kind, seed, n, cells",
+    [("downset", 0, 2, 8), ("downset", 7, 2, 8), ("downset", 10003, 3, 5),
+     ("upset", 881, 2, 5), ("interval", 22001, 2, 3)],
+)
+def test_stratum_order_does_not_change_the_stratum(kind, seed, n, cells):
+    # largest face first is an order of the subtraction, not of the answer
+    make = {"downset": random_downset, "upset": random_upset, "interval": random_interval}
+    m = make[kind](seed, n, cells)
+    for tau in all_faces(n):
+        for sigma in all_faces(n):
+            if tau.coords <= sigma.coords:
+                assert equals(socle_stratum(m, tau, sigma),
+                              _stratum_smallest_first(m, tau, sigma)), (tau, sigma)
 
 
 def test_triangle_plus_ray_socle(triangle_plus_ray):
