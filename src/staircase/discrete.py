@@ -13,16 +13,27 @@ to ``B + 1`` without changing any truth value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, InternalCheckFailure, ValidationError
+from .qe import _check_budget
 
 IVec = tuple[int, ...]
 
 
 def _leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def _box(lo: int, his: Sequence[int], where: str) -> Iterable[IVec]:
+    """The integer points of the box ``[lo, his[0]] x ... x [lo, his[-1]]``.
+
+    Raises ``CellLimitExceeded`` before the scan when the box has more points
+    than the cell limit (``qe.set_cell_limit``)."""
+    _check_budget(math.prod(h - lo + 1 for h in his), f"{where} box")
+    return itertools.product(*(range(lo, h + 1) for h in his))
 
 
 def _minimalize(gens: Iterable[IVec]) -> tuple[IVec, ...]:
@@ -101,7 +112,7 @@ def closed_cogenerators(
     bound = d.ideal.bound()
     off = sorted(set(range(n)) - tau)
     reps: list[IVec] = []
-    for combo in itertools.product(*(range(-1, bound[j] + 1) for j in off)):
+    for combo in _box(-1, [bound[j] for j in off], "closed_cogenerators"):
         a = [0] * n
         for j in tau:
             a[j] = bound[j] + 1
@@ -152,7 +163,7 @@ class DiscreteComponent:
         """Minimal generators of the monomial ideal ``N^n minus this set``."""
         box = _component_box(self.ideal)
         mins: list[IVec] = []
-        for a in itertools.product(*(range(0, b + 2) for b in box)):
+        for a in _box(0, [b + 1 for b in box], "complement_ideal_generators"):
             if self.contains(a):
                 continue
             is_min = all(
@@ -186,10 +197,6 @@ class DiscreteDecomposition:
         return out
 
 
-def _scan_box(lo: int, his: Sequence[int]) -> Iterable[IVec]:
-    return itertools.product(*(range(lo, h + 1) for h in his))
-
-
 def discrete_primary_decomposition(d: DiscreteDownset) -> DiscreteDecomposition:
     """Canonical minimal primary decomposition of the monomial interval.
 
@@ -211,7 +218,7 @@ def discrete_primary_decomposition(d: DiscreteDownset) -> DiscreteDecomposition:
     # Coordinates above B+1 are equivalent to B+1 for every predicate
     # involved, and both sides are empty off N^n, so this scan over
     # [-2, B+2]^n decides the identity over all of Z^n.
-    for a in _scan_box(-2, tuple(b + 2 for b in bound)):
+    for a in _box(-2, [b + 2 for b in bound], "discrete_primary_decomposition"):
         lhs = d.in_interval(a)
         rhs = any(c.contains(a) for c in components.values())
         if lhs != rhs:
@@ -233,7 +240,7 @@ def is_irredundant(d: DiscreteDownset, pieces: Sequence[tuple[frozenset[int], IV
     comps = [DiscreteComponent(d.ideal, tau, (rep,)) for tau, rep in pieces]
     for i, comp in enumerate(comps):
         found = False
-        for a in _scan_box(0, tuple(b + 1 for b in bound)):
+        for a in _box(0, [b + 1 for b in bound], "is_irredundant"):
             if not comp.contains(a):
                 continue
             if not any(other.contains(a) for j, other in enumerate(comps) if j != i):
@@ -262,7 +269,7 @@ def component_cogenerators(
     off = sorted(set(range(dim)) - tau)
     tau_sorted = sorted(tau)
     classes: dict[IVec, IVec] = {}
-    for combo in itertools.product(*(range(-1, bound[j] + 2) for j in off)):
+    for combo in _box(-1, [bound[j] + 1 for j in off], "component_cogenerators"):
         a = [0] * dim
         for j in tau:
             a[j] = bound[j] + 2
@@ -277,9 +284,7 @@ def component_cogenerators(
         ):
             continue
         stable = True
-        for steps in itertools.product(
-            *(range(0, bound[j] + 3) for j in tau_sorted)
-        ):
+        for steps in _box(0, [bound[j] + 2 for j in tau_sorted], "component_cogenerators"):
             b = list(a_t)
             for j, s in zip(tau_sorted, steps):
                 b[j] += s

@@ -13,6 +13,7 @@ hard failures while disagreeing probes are merely recorded as inconclusive.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,16 +74,13 @@ class GridSpec:
         return len(self.lo)
 
     def points(self) -> Iterator[Vec]:
-        axes = []
-        for l, h in zip(self.lo, self.hi):
-            vals = []
-            x = l
-            while x <= h:
-                vals.append(x)
-                x += self.step
-            axes.append(vals)
-        for combo in itertools.product(*axes):
-            yield tuple(combo)
+        """Every grid point; raises ``CellLimitExceeded`` before the first one
+        when the grid has more points than the cell limit."""
+        counts = [(h - l) // self.step + 1 for l, h in zip(self.lo, self.hi)]
+        qe._check_budget(math.prod(counts), "oracle grid")
+        yield from itertools.product(
+            *([l + k * self.step for k in range(c)] for l, c in zip(self.lo, counts))
+        )
 
 
 def default_grid(dim: int, radius: int = 3) -> GridSpec:

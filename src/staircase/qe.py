@@ -44,7 +44,7 @@ def get_cell_limit() -> int:
 def _check_budget(count: int, where: str) -> None:
     if count > _cell_limit:
         raise CellLimitExceeded(
-            f"{where}: intermediate cell count {count} exceeds limit {_cell_limit}"
+            f"{where}: size {count} exceeds the cell limit {_cell_limit}"
         )
 
 
@@ -185,8 +185,15 @@ def _eliminate_vars(
 ) -> tuple[HalfSpace, ...] | None:
     """Existentially project out all variables in ``idxs``.  ``None`` = empty.
 
-    The rows must come normalized (:func:`_normalize_constraints`), as a
-    cell's rows do; each FM step normalizes its output."""
+    Each step eliminates the variable whose step adds the fewest rows
+    (``lo * up - lo - up``).  That choice pays, though the counts of
+    ``scripts/work_counts.py`` hardly show it: in ascending index order (as
+    :func:`witness_cell` eliminates) those counts moved by under 1%, but
+    the FM steps combined 561,877 row pairs instead of 149,210 on
+    ``random_downset(s, 4, 5)``, s = 1-6, and 103,420 instead of 88,050 on
+    the decompose corpus.  The rows must come normalized
+    (:func:`_normalize_constraints`), as a cell's rows do; each FM step
+    normalizes its output."""
     current = constraints
     remaining = set(idxs)
     while remaining:

@@ -268,3 +268,84 @@ def test_error_exit_codes(capsys, tmp_path, triangle_path):
     ideal = tmp_path / "i.json"
     ideal.write_text(dumps({"kind": "discrete", "n": 2, "generators": [[1, 0]]}))
     assert run(["frontier", str(ideal)]) == 1
+
+
+# Instance kinds each command takes; every other kind is an input error.
+REAL = {"downset", "upset", "interval"}
+KINDS = {
+    "validate": REAL | {"discrete"},
+    "verify": REAL | {"discrete"},
+    "discrete-decompose": {"discrete"},
+    "shape": {"downset"},
+    "boundary": {"downset"},
+    "frontier": {"downset"},
+    "top": {"upset", "interval"},
+    "att": {"upset", "interval"},
+    **{
+        cmd: REAL
+        for cmd in (
+            "socle", "ass", "decompose-primary", "decompose-irreducible",
+            "dense-check", "fringe", "dual", "plot",
+        )
+    },
+}
+
+
+def subcommands():
+    from staircase.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    return set(sub.choices)
+
+
+def test_each_command_rejects_the_kinds_it_does_not_take(
+    capsys, tmp_path, triangle_path, tri_ray_path
+):
+    upset = tmp_path / "upset.json"
+    upset.write_text(dumps(instance_to_json(random_upset(21000, 2, 4))))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(dumps({"kind": "discrete", "n": 2, "generators": [[1, 0]]}))
+    paths = {"downset": triangle_path, "upset": str(upset), "interval": tri_ray_path,
+             "discrete": str(ideal)}
+    required = {"shape": ["--at", "[0, 0]"], "boundary": ["--sigma", "[1]"],
+                "dense-check": ["--family", str(ideal)], "plot": ["--box", "[-1,-1,1,1]"]}
+    assert set(KINDS) == subcommands()
+    for cmd, kinds in KINDS.items():
+        for kind in set(paths) - kinds:
+            assert run([cmd, *required.get(cmd, []), paths[kind]]) == 1, (cmd, kind)
+            err = capsys.readouterr().err
+            assert cmd in err and kind in err, (cmd, kind, err)
+            assert all(k in err for k in kinds), (cmd, kind, err)
+
+
+def test_unclean_verify_exits_2_and_still_writes_its_report(capsys, tmp_path, monkeypatch):
+    from staircase import oracle
+
+    def mismatching(decomposition):
+        report = oracle.Report("real-discrete-correspondence")
+        report.record((), "discrete cosets", "real closed stratum")
+        return report
+
+    monkeypatch.setattr(oracle, "correspondence_check", mismatching)
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(dumps({"kind": "discrete", "n": 2, "generators": [[2, 0], [1, 1]]}))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--out", str(out), str(ideal)]) == 2
+    report = loads(out.read_text())
+    assert report["clean"] is False
+    assert [c["name"] for c in report["checks"] if c["mismatches"]] == [
+        "real-discrete-correspondence"
+    ]
+
+
+def test_docs_name_exactly_the_parser_subcommands():
+    import re
+    from pathlib import Path
+
+    from staircase import cli
+
+    listed = re.search(r"Subcommands: (.*?)\.\s", cli.__doc__, re.S).group(1)
+    assert {name.strip() for name in listed.split(",")} == subcommands()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    assert {line.split()[1] for line in block.splitlines()} == subcommands()

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,3 +163,21 @@ def test_fuzz_decomposition_checks(seed, n):
     dec = discrete_primary_decomposition(d)  # verifies the union internally
     assert is_irredundant(d, dec.irreducible_pieces())
     assert socle_isomorphism_check(d, dec)
+
+
+def test_box_scans_raise_under_a_small_cell_limit():
+    # the staircase is the 30 x 30 square; its cogenerator scan covers a 32 x 32 box
+    from staircase import CellLimitExceeded
+    from staircase.qe import get_cell_limit, set_cell_limit
+
+    d = ideal(2, (30, 0), (0, 30))
+    previous = get_cell_limit()
+    set_cell_limit(500)
+    try:
+        with pytest.raises(CellLimitExceeded, match="closed_cogenerators"):
+            closed_cogenerators(d, ())
+        with pytest.raises(CellLimitExceeded):
+            discrete_primary_decomposition(d)
+    finally:
+        set_cell_limit(previous)
+    assert closed_cogenerators(d, ()) == ((29, 29),)

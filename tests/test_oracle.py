@@ -202,3 +202,20 @@ def test_random_interval_boundary_probe_fuzz():
             for sigma in all_faces(2):
                 report = interval_boundary_probe_check(iv, sigma, g)
                 assert report.clean, (seed, sigma, report.mismatches[:2])
+
+
+def test_grid_points_raise_under_a_small_cell_limit():
+    from staircase import CellLimitExceeded
+    from staircase.qe import get_cell_limit, set_cell_limit
+
+    from conftest import rational_grid
+
+    grid = GridSpec((-1, 0), (1, Fraction(3, 2)), Fraction(2, 3), Fraction(1, 8))
+    assert list(grid.points()) == rational_grid((-1, 0), (1, Fraction(3, 2)), Fraction(2, 3))
+    previous = get_cell_limit()
+    set_cell_limit(11)  # the grid has 4 x 3 points
+    try:
+        with pytest.raises(CellLimitExceeded, match="grid"):
+            next(grid.points())
+    finally:
+        set_cell_limit(previous)
