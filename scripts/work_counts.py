@@ -7,10 +7,12 @@ of the n=4 instances ``random_downset(s, 4, 5)`` for s = 1-6 (seed 6 is
 the hard case), loaded from its instance JSON as the CLI does, it starts
 from cold engine caches, runs the primary decomposition, the irreducible
 family and ``reconstruct``, then checks the reconstruction against the
-carrier with ``qe.equals``.  It counts three kinds of work:
+carrier with ``qe.equals``.  It counts four kinds of work:
 
 * ``cells``: ``qe.Cell`` objects built;
 * ``fm``: ``qe._eliminate_vars`` runs (Fourier-Motzkin eliminations);
+* ``fm_pairs``: row pairs the ``qe._fm_step`` steps combine (lower times
+  upper bounds on the variable each eliminates), the size of that work;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included.
 
 The counts depend on the code alone, not on the machine or its load, so
@@ -47,6 +49,16 @@ def install(counts: dict) -> None:
 
     qe.Cell.__post_init__ = counting("cells", qe.Cell.__post_init__)
     qe._eliminate_vars = counting("fm", qe._eliminate_vars)
+    fm_step = qe._fm_step
+
+    @functools.wraps(fm_step)
+    def counted_step(constraints, j):
+        ups = sum(1 for h in constraints if h.normal[j] > 0)
+        lows = sum(1 for h in constraints if h.normal[j] < 0)
+        counts["fm_pairs"] += lows * ups
+        return fm_step(constraints, j)
+
+    qe._fm_step = counted_step
     # every other module calls it through ``qe`` except svg, which is not run here
     qe.is_empty_cell = counting("is_empty_cell", qe.is_empty_cell)
 
@@ -59,7 +71,7 @@ def main(argv=None) -> int:
     corpus = N4 if args.n == 4 else [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
     instances = [instance_from_json(instance_to_json(random_downset(s, n, b)))
                  for s, n, b in corpus]
-    counts = dict.fromkeys(("cells", "fm", "is_empty_cell"), 0)
+    counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell"), 0)
     install(counts)
     per_n: dict[int, dict] = {}
     for (_, n, _), d in zip(corpus, instances):

@@ -12,9 +12,11 @@ to ``B + 1`` without changing any truth value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, InternalCheckFailure, ValidationError
@@ -24,7 +26,7 @@ IVec = tuple[int, ...]
 
 
 def _leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _box(lo: int, his: Sequence[int], where: str) -> Iterable[IVec]:
@@ -153,10 +155,14 @@ class DiscreteComponent:
     def dim(self) -> int:
         return self.ideal.dim
 
+    @functools.cached_property
+    def _off(self) -> tuple[int, ...]:
+        return tuple(j for j in range(self.dim) if j not in self.tau)
+
     def contains(self, a: Sequence[int]) -> bool:
-        if not DiscreteDownset(self.ideal).in_interval(a):
+        if any(x < 0 for x in a) or self.ideal.in_ideal(a):
             return False
-        off = [j for j in range(self.dim) if j not in self.tau]
+        off = self._off
         return any(all(a[j] <= rep[j] for j in off) for rep in self.reps)
 
     def complement_ideal_generators(self) -> tuple[IVec, ...]:

@@ -17,7 +17,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator
 
 from . import qe
 from .discrete import (
@@ -35,14 +36,13 @@ from .geometry import (
     Upset,
     all_faces,
     face_interior,
-    indicator_vector,
     interval,
     reflect_downset,
     reflect_upset,
     shape_at,
     upset_cone_cell,
 )
-from .rationals import HalfSpace, Vec, dot, frac, vec
+from .rationals import HalfSpace, Vec, frac, int_row, reduce_row, vec
 from .socle import SocleTable, _quotient_face, boundary_degrees, frontier, sigma_closure, socle
 
 
@@ -73,13 +73,38 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.lo)
 
+    @property
+    def denominator(self) -> int:
+        """A common denominator of every grid point and probe depth: the lcm
+        of the denominators of ``lo``, ``step`` and ``probe/4``."""
+        return math.lcm(
+            *(x.denominator for x in self.lo), self.step.denominator, (self.probe / 4).denominator
+        )
+
+    def depths(self) -> tuple[int, int, int]:
+        """The probe depth, its half and its quarter, each times ``denominator``."""
+        quarter = self.probe / 4
+        q = quarter.numerator * (self.denominator // quarter.denominator)
+        return 4 * q, 2 * q, q
+
+    def _axes(self) -> list[list[Fraction]]:
+        counts = [(h - l) // self.step + 1 for l, h in zip(self.lo, self.hi)]
+        qe._check_budget(math.prod(counts), "oracle grid")
+        return [[l + k * self.step for k in range(c)] for l, c in zip(self.lo, counts)]
+
     def points(self) -> Iterator[Vec]:
         """Every grid point; raises ``CellLimitExceeded`` before the first one
         when the grid has more points than the cell limit."""
-        counts = [(h - l) // self.step + 1 for l, h in zip(self.lo, self.hi)]
-        qe._check_budget(math.prod(counts), "oracle grid")
-        yield from itertools.product(
-            *([l + k * self.step for k in range(c)] for l, c in zip(self.lo, counts))
+        yield from itertools.product(*self._axes())
+
+    def scaled_points(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
+        """Every grid point ``p`` as ``(P, p)``, where the integers ``P`` are
+        ``p`` times ``denominator``; in the order of :meth:`points`."""
+        d = self.denominator
+        axes = self._axes()
+        yield from zip(
+            itertools.product(*([x.numerator * (d // x.denominator) for x in a] for a in axes)),
+            itertools.product(*axes),
         )
 
 
@@ -130,19 +155,29 @@ class Report:
             )
 
 
+Scaled = tuple[int, ...]  # a grid point times ``GridSpec.denominator``
+
+
 def _grid_check(
     name: str,
     grid: GridSpec,
-    symbolic: Callable[[Vec], bool],
-    expected: Callable[[Vec], bool | None],
+    symbolic: PLSet,
+    expected: Callable[[Scaled, Vec], bool | None],
 ) -> Report:
-    """Walk the grid and compare the engine's ``symbolic`` answer with the
-    independent ``expected`` one at every point; ``None`` from ``expected``
-    counts the point as inconclusive."""
+    """Walk the grid and compare membership in the engine's ``symbolic`` set
+    with the independent ``expected`` answer at every point.
+
+    Each point ``p`` is scaled once to integers ``P = p * grid.denominator``;
+    membership is tested on ``P`` and ``expected`` gets ``(P, p)``.  ``None``
+    from ``expected`` counts the point as inconclusive."""
+    if grid.dim != symbolic.dim:
+        raise ValidationError("grid dimension mismatch")
     report = Report(name)
-    for p in grid.points():
+    d = grid.denominator
+    contains = symbolic.contains_scaled
+    for P, p in grid.scaled_points():
         report.checked += 1
-        got, want = symbolic(p), expected(p)
+        got, want = contains(P, d), expected(P, p)
         if want is None:
             report.inconclusive += 1
         elif want != got:
@@ -150,11 +185,16 @@ def _grid_check(
     return report
 
 
-def _three_depths(grid: GridSpec, holds: Callable[[Fraction], bool]) -> bool | None:
-    """``holds`` at the probe depth, its half and its quarter, or ``None``
+def _three_depths(answers: Iterable[bool]) -> bool | None:
+    """The answer at the probe depth, its half and its quarter, or ``None``
     when the three disagree."""
-    values = {holds(e) for e in (grid.probe, grid.probe / 2, grid.probe / 4)}
+    values = set(answers)
     return values.pop() if len(values) == 1 else None
+
+
+def _face_shifts(sigma: Face, grid: GridSpec) -> list[Scaled]:
+    """The indicator of ``sigma`` times each of ``grid.depths()``."""
+    return [tuple(e if i in sigma.coords else 0 for i in range(sigma.dim)) for e in grid.depths()]
 
 
 def sample_check_membership(
@@ -165,22 +205,25 @@ def sample_check_membership(
 ) -> Report:
     """Compare symbolic membership in ``s`` with an independent ``predicate``
     gridwise."""
-    if grid.dim != s.dim:
-        raise ValidationError("grid dimension mismatch")
-    return _grid_check(name, grid, s.contains, predicate)
+    return _grid_check(name, grid, s, lambda P, p: predicate(p))
 
 
 def boundary_probe_check(d: Downset, sigma: Face, grid: GridSpec) -> Report:
     """Upper boundary membership vs the decreasing-epsilon ray probe (at the
-    zero face the ray is the point itself)."""
-    direction = indicator_vector(sigma)
+    zero face the ray is the point itself, tested once)."""
+    contains, den = d.carrier.contains_scaled, grid.denominator
+    if sigma.coords:
+        shifts = _face_shifts(sigma, grid)
+        expected = lambda P, p: _three_depths(
+            contains(tuple(map(sub, P, shift)), den) for shift in shifts
+        )
+    else:
+        expected = lambda P, p: contains(P, den)
     return _grid_check(
         f"boundary-probe sigma={sorted(sigma.coords)}",
         grid,
-        boundary_degrees(d, sigma).contains,
-        lambda p: _three_depths(
-            grid, lambda e: d.carrier.contains(tuple(x - e * v for x, v in zip(p, direction)))
-        ),
+        boundary_degrees(d, sigma),
+        expected,
     )
 
 
@@ -190,20 +233,21 @@ def shape_consistency_check(d: Downset, grid: GridSpec, sigma: Face) -> Report:
     return _grid_check(
         f"boundary-vs-shape sigma={sorted(sigma.coords)}",
         grid,
-        boundary_degrees(d, sigma).contains,
-        lambda p: sigma in shape_at(d, p),
+        boundary_degrees(d, sigma),
+        lambda P, p: sigma in shape_at(d, p),
     )
 
 
-def _tail_cell(a: Vec, sigma: Face, depth: Fraction) -> Cell:
-    """``{a - s'' : s'' in sigma-interior, s'' <= depth * indicator}``."""
+def _tail_cell(a: Scaled, d: int, sigma: Face, depth: int) -> Cell:
+    """``{a/d - s'' : s'' in sigma-interior, s'' <= (depth/d) * indicator}``."""
     n = sigma.dim
     cons: list[HalfSpace] = []
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
         on_face = i in sigma.coords
-        cons.append(HalfSpace(e, a[i], on_face))  # x_i < a_i on the face, = off it
-        cons.append(HalfSpace(tuple(-c for c in e), (depth if on_face else 0) - a[i], False))
+        below = (depth if on_face else 0) - a[i]
+        cons.append(int_row(*reduce_row(e, a[i], d), on_face))  # x_i < a_i on the face, = off it
+        cons.append(int_row(*reduce_row(tuple(-c for c in e), below, d), False))
     return Cell(n, tuple(cons))
 
 
@@ -217,18 +261,20 @@ def interval_boundary_probe_check(m: Interval, sigma: Face, grid: GridSpec) -> R
     symbolic answer is a genuine engine failure.
     """
 
-    def probe(p: Vec) -> bool | None:
+    den, depths = grid.denominator, grid.depths()
+
+    def probe(P: Scaled, p: Vec) -> bool | None:
         if not sigma.coords:
-            return m.carrier.contains(p)
+            return m.carrier.contains_scaled(P, den)
         return _three_depths(
-            grid,
-            lambda e: qe.is_subset(PLSet(m.dim, (_tail_cell(p, sigma, e),)), m.carrier),
+            qe.is_subset(PLSet(m.dim, (_tail_cell(P, den, sigma, e),)), m.carrier)
+            for e in depths
         )
 
     return _grid_check(
         f"interval-boundary-probe sigma={sorted(sigma.coords)}",
         grid,
-        boundary_degrees(m, sigma).contains,
+        boundary_degrees(m, sigma),
         probe,
     )
 
@@ -280,25 +326,30 @@ def sigma_closure_probe_check(
     """
     qdim = x.dim
     s = _quotient_face(sigma, tau, qdim)
-    interior = indicator_vector(s)
+    shifts = _face_shifts(s, grid)
     cone = upset_cone_cell(s)
+    den = grid.denominator
 
-    def meets_vicinity(p: Vec, e: Fraction) -> bool:
-        u = tuple(px - e * iv for px, iv in zip(p, interior))
-        vicinity = Cell(
-            qdim,
-            tuple(
-                HalfSpace(h.normal, h.offset + dot(h.normal, u), h.strict)
-                for h in cone.constraints
-            ),
-        )
+    def meets_vicinity(P: Scaled, shift: Scaled) -> bool:
+        vicinity = _translated_cell(cone, tuple(map(sub, P, shift)), den)
         return not qe.is_empty(qe.intersect(x, PLSet(qdim, (vicinity,))))
 
     return _grid_check(
         f"sigma-closure-probe tau={sorted(tau.coords)} sigma={sorted(sigma.coords)}",
         grid,
-        sigma_closure(x, sigma, tau).contains,
-        lambda p: _three_depths(grid, lambda e: meets_vicinity(p, e)),
+        sigma_closure(x, sigma, tau),
+        lambda P, p: _three_depths(meets_vicinity(P, shift) for shift in shifts),
+    )
+
+
+def _translated_cell(c: Cell, u: Scaled, d: int) -> Cell:
+    """The cell ``c + u/d``: each row ``l.x <= b`` becomes ``l.x <= b + l.u/d``."""
+    return Cell(
+        c.dim,
+        tuple(
+            int_row(*reduce_row(normal, num * d + den * sum(map(mul, normal, u)), den * d), strict)
+            for normal, num, den, strict in c.constraints
+        ),
     )
 
 

@@ -315,7 +315,11 @@ class PLSet:
             raise DimensionMismatch(
                 f"point of dimension {len(pt)} in PL set of dimension {self.dim}"
             )
-        p, d = scaled(pt)
+        return self.contains_scaled(*scaled(pt))
+
+    def contains_scaled(self, p: Sequence[int], d: int) -> bool:
+        """``contains`` at the point ``p / d`` (integer ``p``, ``d > 0``); the
+        one membership loop, for callers that scale their points once."""
         return any(all(h.holds_scaled(p, d) for h in c.constraints) for c in self.cells)
 
 

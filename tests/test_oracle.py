@@ -1,9 +1,12 @@
 """Oracle machinery: grids, probes, random generators, cross-checks."""
 
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase import (
     DiscreteDownset,
@@ -16,6 +19,7 @@ from staircase import (
     cell,
     correspondence_check,
     default_grid,
+    difference,
     discrete_primary_decomposition,
     equals,
     face,
@@ -219,3 +223,96 @@ def test_grid_points_raise_under_a_small_cell_limit():
             next(grid.points())
     finally:
         set_cell_limit(previous)
+
+
+def test_grid_scaled_points_are_the_points_times_the_denominator():
+    grid = GridSpec((F(-5, 7), F(0)), (F(1), F(1)), F(1, 3), F(1, 10))
+    d = grid.denominator
+    assert d == 840  # lcm of 7, 3 and the 40 of probe/4
+    assert grid.depths() == (84, 42, 21)
+    pairs = list(grid.scaled_points())
+    assert [p for _, p in pairs] == list(grid.points())
+    assert all(P == tuple(x * d for x in p) for P, p in pairs)
+    assert all(type(x) is int for P, _ in pairs for x in P)
+
+
+def _corner_grid():
+    # the corner -5/3 has a denominator that neither the step 1/2 nor the
+    # probe 1/8 has
+    return GridSpec((F(-5, 3), F(-5, 3)), (F(4, 3), F(4, 3)), F(1, 2), F(1, 8))
+
+
+def _flip_at(monkeypatch, name, w):
+    """Make ``oracle.<name>`` answer wrongly at the grid point ``w`` only."""
+    oracle = importlib.import_module("staircase.oracle")
+    real = getattr(oracle, name)
+
+    def flipped(*args):
+        s = real(*args)
+        return difference(s, point_set(w)) if s.contains(w) else union(s, point_set(w))
+
+    monkeypatch.setattr(oracle, name, flipped)
+
+
+@pytest.mark.parametrize("check, target, w, want", [
+    ("boundary", "boundary_degrees", (F(1, 3), F(1, 3)), True),
+    ("interval", "boundary_degrees", (F(-1, 6), F(5, 6)), False),
+    ("closure", "sigma_closure", (F(1, 3), F(-5, 3)), True),
+])
+def test_probe_checks_record_exactly_a_planted_mismatch(
+    monkeypatch, triangle_quotient, triangle_plus_ray, check, target, w, want
+):
+    from staircase.oracle import interval_boundary_probe_check
+
+    sigma, grid = face(2, [0]), _corner_grid()
+    run = {
+        "boundary": lambda: boundary_probe_check(triangle_quotient, sigma, grid),
+        "interval": lambda: interval_boundary_probe_check(triangle_plus_ray, sigma, grid),
+        "closure": lambda: sigma_closure_probe_check(
+            socle_table(triangle_quotient).entry(face(2), sigma).cosets, sigma, face(2), grid
+        ),
+    }[check]
+    clean = run()
+    assert clean.clean and clean.checked == 49
+    _flip_at(monkeypatch, target, w)
+    dirty = run()
+    assert (dirty.checked, dirty.inconclusive) == (clean.checked, clean.inconclusive)
+    assert dirty.mismatches == [
+        {"point": [str(x) for x in w], "expected": want, "got": not want}
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1)).map(lambda c: face(n, c)),
+    )),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.integers(0, 10 ** 6),
+)
+def test_integer_rows_equal_the_halfspace_built_ones(case, d, depth, seed):
+    from staircase import HalfSpace
+    from staircase.geometry import Cell, upset_cone_cell
+    from staircase.oracle import _tail_cell, _translated_cell
+    from staircase.rationals import dot
+
+    a, sigma = case
+    n = sigma.dim
+    p = tuple(F(x, d) for x in a)
+    cons = []
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        on_face = i in sigma.coords
+        cons.append(HalfSpace(e, p[i], on_face))
+        cons.append(HalfSpace(tuple(-c for c in e), (F(depth, d) if on_face else 0) - p[i], False))
+    assert _tail_cell(tuple(a), d, sigma, depth).constraints == Cell(n, tuple(cons)).constraints
+
+    rng = random.Random(seed)
+    rows = [hs([rng.randint(-3, 3) for _ in range(n)], F(rng.randint(-9, 9), rng.randint(1, 4)),
+               rng.random() < 0.5) for _ in range(3)]
+    for c in (upset_cone_cell(sigma), Cell(n, tuple(rows))):
+        shifted = Cell(n, tuple(HalfSpace(h.normal, h.offset + dot(h.normal, p), h.strict)
+                                for h in c.constraints))
+        assert _translated_cell(c, tuple(a), d).constraints == shifted.constraints

@@ -187,6 +187,43 @@ def test_closure_of_segment_with_open_part():
         assert got.contains(p) == near
 
 
+# --- membership ------------------------------------------------------------
+
+
+@st.composite
+def _scaled_membership_cases(draw, n):
+    """A set, an integer point ``p`` over ``d`` and an unreduced factor
+    ``k``; some rows pass through the point, strict or not."""
+    p = tuple(draw(st.integers(-12, 12)) for _ in range(n))
+    d = draw(st.integers(1, 6))
+    normals = st.tuples(*[st.integers(-2, 2) for _ in range(n)]).filter(any)
+    through = st.builds(
+        lambda nr, strict: halfspace(nr, Fraction(sum(a * x for a, x in zip(nr, p)), d), strict),
+        normals,
+        st.booleans(),
+    )
+    rows = st.lists(st.one_of(_halfspaces(n), through), max_size=3)
+    cells = draw(st.lists(rows, max_size=3))
+    return PLSet(n, tuple(Cell(n, tuple(c)) for c in cells)), p, d, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_scaled_membership_cases))
+def test_contains_scaled_matches_contains(case):
+    s, p, d, k = case
+    point = tuple(Fraction(x, d) for x in p)
+    want = any(
+        all(
+            (lhs < h.offset) if h.strict else (lhs <= h.offset)
+            for h in c.constraints
+            for lhs in [sum((a * x for a, x in zip(h.normal, point)), Fraction(0))]
+        )
+        for c in s.cells
+    )
+    assert s.contains(point) == want
+    assert s.contains_scaled(tuple(k * x for x in p), k * d) == want
+
+
 # --- directional limit membership -------------------------------------------
 
 
