@@ -10,9 +10,11 @@ family and ``reconstruct``, then checks the reconstruction against the
 carrier with ``qe.equals``.  It counts four kinds of work:
 
 * ``cells``: ``qe.Cell`` objects built;
-* ``fm``: ``qe._eliminate_vars`` runs (Fourier-Motzkin eliminations);
-* ``fm_pairs``: row pairs the ``qe._fm_step`` steps combine (lower times
-  upper bounds on the variable each eliminates), the size of that work;
+* ``fm``: ``qe._eliminate_vars`` runs, the Fourier-Motzkin eliminations
+  of emptiness checks and ``qe.exists`` only;
+* ``fm_pairs``: row pairs every ``qe._fm_step`` combines (lower times upper
+  bounds on its variable), the size of the FM work, the steps with which
+  ``qe.minkowski`` adds rays and lines included;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included.
 
 The counts depend on the code alone, not on the machine or its load, so
@@ -52,11 +54,11 @@ def install(counts: dict) -> None:
     fm_step = qe._fm_step
 
     @functools.wraps(fm_step)
-    def counted_step(constraints, j):
+    def counted_step(constraints, j, ray=None):
         ups = sum(1 for h in constraints if h.normal[j] > 0)
         lows = sum(1 for h in constraints if h.normal[j] < 0)
         counts["fm_pairs"] += lows * ups
-        return fm_step(constraints, j)
+        return fm_step(constraints, j, ray)
 
     qe._fm_step = counted_step
     # every other module calls it through ``qe`` except svg, which is not run here

@@ -39,18 +39,6 @@ class Face:
                 f"face coordinates {sorted(self.coords)} out of range for n={self.dim}"
             )
 
-    def __le__(self, other: "Face") -> bool:
-        self._check(other)
-        return self.coords <= other.coords
-
-    def __lt__(self, other: "Face") -> bool:
-        self._check(other)
-        return self.coords < other.coords
-
-    def _check(self, other: "Face") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch("faces of different ambient dimensions")
-
     @property
     def codim_coords(self) -> frozenset[int]:
         return frozenset(range(self.dim)) - self.coords

@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 from .errors import CellLimitExceeded, DimensionMismatch, StaircaseError
 from .rationals import HalfSpace, Rat, Vec, int_row, reduce_row, scaled, vec
 
-# Guard against runaway disjunctive-normal-form expansion.  The engine is
-# meant for small ambient dimension and modest cell counts; anything that
-# would blow past this bound raises instead of thrashing.
+# Guard against runaway disjunctive-normal-form expansion and Fourier-Motzkin
+# growth.  The engine is meant for small ambient dimension and modest cell
+# counts; anything that would blow past this bound raises instead of thrashing.
 DEFAULT_CELL_LIMIT = 200_000
 _cell_limit = DEFAULT_CELL_LIMIT
 
@@ -43,9 +43,7 @@ def get_cell_limit() -> int:
 
 def _check_budget(count: int, where: str) -> None:
     if count > _cell_limit:
-        raise CellLimitExceeded(
-            f"{where}: size {count} exceeds the cell limit {_cell_limit}"
-        )
+        raise CellLimitExceeded(f"{where}: size {count} exceeds the cell limit {_cell_limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +54,7 @@ def halfspace(normal: Iterable[Rat], offset: Rat, strict: bool = False) -> HalfS
     return HalfSpace(tuple(normal), offset, strict)
 
 
-def _normalize_constraints(
-    constraints: Iterable[HalfSpace],
-) -> tuple[HalfSpace, ...] | None:
+def _normalize_constraints(constraints: Iterable[HalfSpace]) -> tuple[HalfSpace, ...] | None:
     """Drop trivial constraints, dedup, keep the tightest of parallel bounds.
 
     Returns ``None`` when a constant contradiction makes the cell empty.
@@ -155,8 +151,15 @@ def cell(dim: int, *constraints: HalfSpace) -> Cell:
 # Fourier-Motzkin --------------------------------------------------------
 
 
-def _fm_step(constraints: Sequence[HalfSpace], j: int) -> tuple[HalfSpace, ...] | None:
-    """Project out variable ``j`` from a conjunction.  ``None`` means empty."""
+def _fm_step(
+    constraints: Sequence[HalfSpace], j: int, ray: tuple[int, bool] | None = None
+) -> tuple[HalfSpace, ...] | None:
+    """Project out variable ``j`` from a conjunction.  ``None`` means empty.
+
+    With ``ray = (sign, strict)`` it adds the ray ``t * sign * e_j``, ``t >= 0``
+    (``> 0`` if strict), instead: a row whose ``x_j`` coefficient has sign
+    ``-sign`` meets ``x - t * sign * e_j`` most easily at ``t = 0``, so it also
+    stays (strict for an open ray); the others bound ``t`` only from below."""
     lows: list[HalfSpace] = []
     ups: list[HalfSpace] = []
     rest: list[HalfSpace] = []
@@ -168,7 +171,12 @@ def _fm_step(constraints: Sequence[HalfSpace], j: int) -> tuple[HalfSpace, ...] 
             lows.append(h)
         else:
             rest.append(h)
+    _check_budget(len(constraints) + len(lows) * len(ups), "Fourier-Motzkin step")
     out = rest
+    if ray is not None:
+        sign, strict = ray
+        kept = lows if sign > 0 else ups
+        out += [h.strictened() for h in kept] if strict else kept
     for lo in lows:
         a = -lo.normal[j]  # positive
         for up in ups:
@@ -180,20 +188,17 @@ def _fm_step(constraints: Sequence[HalfSpace], j: int) -> tuple[HalfSpace, ...] 
     return _normalize_constraints(out)
 
 
-def _eliminate_vars(
-    constraints: Sequence[HalfSpace], idxs: Iterable[int]
-) -> tuple[HalfSpace, ...] | None:
+def _eliminate_vars(constraints: Sequence[HalfSpace],
+                    idxs: Iterable[int]) -> tuple[HalfSpace, ...] | None:
     """Existentially project out all variables in ``idxs``.  ``None`` = empty.
 
     Each step eliminates the variable whose step adds the fewest rows
-    (``lo * up - lo - up``).  That choice pays, though the counts of
-    ``scripts/work_counts.py`` hardly show it: in ascending index order (as
-    :func:`witness_cell` eliminates) those counts moved by under 1%, but
-    the FM steps combined 561,877 row pairs instead of 149,210 on
-    ``random_downset(s, 4, 5)``, s = 1-6, and 103,420 instead of 88,050 on
-    the decompose corpus.  The rows must come normalized
-    (:func:`_normalize_constraints`), as a cell's rows do; each FM step
-    normalizes its output."""
+    (``lo * up - lo - up``).  In ascending index order (as :func:`witness_cell`
+    eliminates) the counts of ``scripts/work_counts.py`` stay the same, but
+    the steps combine 73,278 row pairs instead of 60,391 on the decompose
+    corpus and 539,308 instead of 129,358 on ``random_downset(s, 4, 5)``,
+    s = 1-6.  The rows must come normalized, as a cell's rows do; each FM
+    step normalizes its output."""
     current = constraints
     remaining = set(idxs)
     while remaining:
@@ -261,29 +266,21 @@ def witness_cell(c: Cell) -> Vec | None:
             cj = h.normal[j]
             if cj == 0:
                 continue
-            rest = sum(
-                (h.normal[k] * values[k] for k in range(j + 1, c.dim)), Fraction(0)
-            )
+            rest = sum(map(mul, h.normal[j + 1:], values[j + 1:]), Fraction(0))
             bound = (h.offset - rest) / cj
             if cj > 0:
                 if hi is None or (bound, not h.strict) < (hi[0], not hi[1]):
                     hi = (bound, h.strict)
-            else:
-                if lo is None or (bound, h.strict) > (lo[0], lo[1]):
-                    lo = (bound, h.strict)
-        if lo is None and hi is None:
-            values[j] = Fraction(0)
-        elif lo is None:
-            values[j] = hi[0] - 1
-        elif hi is None:
+            elif lo is None or (bound, h.strict) > lo:
+                lo = (bound, h.strict)
+        if lo is not None and hi is not None:
+            if lo[0] == hi[0] and (lo[1] or hi[1]):
+                raise StaircaseError("witness extraction hit an empty interval")
+            values[j] = (lo[0] + hi[0]) / 2
+        elif lo is not None:
             values[j] = lo[0] + 1
-        else:
-            if lo[0] == hi[0]:
-                if lo[1] or hi[1]:
-                    raise StaircaseError("witness extraction hit an empty interval")
-                values[j] = lo[0]
-            else:
-                values[j] = (lo[0] + hi[0]) / 2
+        elif hi is not None:
+            values[j] = hi[0] - 1
     point = tuple(values)
     if not c.contains(point):
         raise StaircaseError("witness extraction produced an invalid point")
@@ -410,19 +407,16 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
 def canonicalize(s: PLSet) -> PLSet:
     """Cleanup pass, one fixed pipeline at every size: :func:`_light_cleanup`
     (drop empty cells, dedup, syntactic absorb), drop each cell's redundant
-    rows, then drop every cell contained in another single cell.  Purely
-    extensional: the denoted set never changes.
+    rows, then drop every cell contained in another single cell.  The
+    denoted set never changes.
 
-    The pairwise absorb is quadratic in the cell count but has no size
-    cutoff: with a cutoff at 24 cells, sets of 40-111 unabsorbed cells made
-    every later operation on them so slow that ``random_downset(6, 4, 5)``
-    did not decompose in 900 s; absorbing at every size, it takes about
-    7 s.  Absorb also pays for itself on small sets: decomposing and
-    reconstructing the seeded corpus (``random_downset`` n=2 seeds 0-99 and
-    n=3 seeds 10000-10024) takes 6-8 s with it and 17-18 s without it on a
-    2-vCPU machine.  Dropping rows cannot empty a cell, and absorb covers
-    the dedup and syntactic absorb of a second light cleanup, so there is
-    none."""
+    The pairwise absorb is quadratic but has no size cutoff: with a cutoff
+    at 24 cells, ``random_downset(6, 4, 5)`` did not decompose in 900 s,
+    against about 7 s without one.  Decomposing and reconstructing the
+    seeded corpus (``random_downset`` n=2 seeds 0-99, n=3 seeds
+    10000-10024) takes 6-8 s with absorb and 17-18 s without on a 2-vCPU
+    machine.  Dropping rows cannot empty a cell, and absorb covers the dedup
+    and syntactic absorb of a second light cleanup, so there is none."""
     if s.__dict__.get("_canonical_deep"):
         return s
     cells_ = _light_cleanup(s.cells)
@@ -437,15 +431,14 @@ def canonicalize(s: PLSet) -> PLSet:
 
 
 def condense(s: PLSet) -> PLSet:
-    """:func:`canonicalize` on socle strata and degrees, and at the two
-    intermediate points measured to pay: the escape set of
-    ``socle.max_along``/``min_along`` and the union in ``decompose.reconstruct``.
-    Elsewhere only results are canonicalized.  The name stays because the
-    benchmark's traced run counts calls under ``qe.condense``.  A covering
-    pass that drops every cell covered by the union of the others does not
-    pay here, since the difference sweep leaves the pieces a subtrahend
-    misses unsplit: with that pass, decomposing the seeded corpus (as in
-    :func:`canonicalize`) took 34 s instead of 22 s on a 2-vCPU machine."""
+    """:func:`canonicalize` on socle strata and degrees, and where measured to
+    pay: the escape set of ``socle.max_along``/``min_along`` and the union in
+    ``decompose.reconstruct``; elsewhere only results are canonicalized.  The
+    name stays because the benchmark's traced run counts ``qe.condense``.  A
+    covering pass (drop each cell covered by the union of the others) does not
+    pay, since the difference sweep leaves the pieces a subtrahend misses
+    unsplit: with it, decomposing the seeded corpus (as in :func:`canonicalize`)
+    took 34 s instead of 22 s on a 2-vCPU machine."""
     return canonicalize(s)
 
 
@@ -538,10 +531,6 @@ def equals(s: PLSet, t: PLSet) -> bool:
 # Projection / closure / reflection / Minkowski sums ---------------------
 
 
-def _delete_coords(v: tuple[int, ...], coords: frozenset[int]) -> tuple[int, ...]:
-    return tuple(x for i, x in enumerate(v) if i not in coords)
-
-
 def exists(s: PLSet, coords: Iterable[int]) -> PLSet:
     """Existential projection keeping the ambient dimension (a cylinder)."""
     idxs = frozenset(coords)
@@ -566,11 +555,9 @@ def eliminate(s: PLSet, coords: Iterable[int]) -> PLSet:
     new_dim = s.dim - len(idxs)
     out: list[Cell] = []
     for c in cyl.cells:
-        cons = tuple(
-            int_row(_delete_coords(h.normal, idxs), h.num, h.den, h.strict)
-            for h in c.constraints
-        )
-        out.append(Cell(new_dim, cons))
+        out.append(Cell(new_dim, tuple(
+            int_row(tuple(x for i, x in enumerate(h.normal) if i not in idxs), *h[1:])
+            for h in c.constraints)))
     return PLSet(new_dim, tuple(out))
 
 
@@ -598,35 +585,52 @@ def reflect(s: PLSet) -> PLSet:
     return PLSet(s.dim, tuple(c.reflected() for c in s.cells))
 
 
-def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
-    """Minkowski sum ``{x + y : x in s, y in k}``.
+def _cone_steps(b: Cell) -> list[tuple[int, tuple[int, bool] | None]] | None:
+    """The :func:`_fm_step` calls ``(j, ray)`` that add the axis cone ``b``:
+    none where ``y_j = 0``, a ray step on a ray, a plain step on a free axis.
+    ``None`` when ``b`` is empty; a row other than ``±y_j {<,<=} 0`` raises."""
+    bounds: dict[tuple[int, int], bool] = {}  # (axis, sign of the row) -> strict
+    for h in b.constraints:
+        axes = [j for j, c in enumerate(h.normal) if c]
+        if not axes:  # the canonical false row
+            return None
+        if len(axes) != 1 or h.num:
+            raise StaircaseError(f"Minkowski summand is not an axis cone: row {h!r}")
+        bounds[axes[0], h.normal[axes[0]]] = h.strict
+    steps: list[tuple[int, tuple[int, bool] | None]] = []
+    for j in range(b.dim):
+        lo, up = bounds.get((j, -1)), bounds.get((j, 1))  # y_j >= 0, y_j <= 0
+        if lo is None and up is None:  # a line
+            steps.append((j, None))
+        elif up is None:
+            steps.append((j, (1, lo)))
+        elif lo is None:
+            steps.append((j, (-1, up)))
+        elif lo or up:  # y_j < 0 <= y_j or the like
+            return None
+    return steps
 
-    Realized by doubling the ambient dimension (result coordinates ``z``,
-    summand coordinates ``x``), constraining ``x in s`` and ``z - x in k``,
-    then eliminating ``x``.
-    """
-    kcells = (k,) if isinstance(k, Cell) else k.cells
-    kdim = k.dim
-    if kdim != s.dim:
-        raise DimensionMismatch(f"minkowski of dimensions {s.dim} and {kdim}")
-    n = s.dim
-    zero = (0,) * n
+
+def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
+    """Minkowski sum ``{x + y : x in s, y in k}`` with a union of axis cones:
+    each cell of ``k`` is a product along the axes of points, rays (open or
+    closed, either way) and lines.  Each ray or line is added by one FM step
+    in the n ambient variables (:func:`_cone_steps`); any other summand
+    raises :class:`StaircaseError`, and an empty one adds nothing."""
+    if k.dim != s.dim:
+        raise DimensionMismatch(f"minkowski of dimensions {s.dim} and {k.dim}")
+    cones = [c for c in map(_cone_steps, (k,) if isinstance(k, Cell) else k.cells) if c is not None]
     out: list[Cell] = []
     for a in s.cells:
-        for b in kcells:
-            cons: list[HalfSpace] = []
-            for h in a.constraints:  # x in a
-                cons.append(int_row(zero + h.normal, h.num, h.den, h.strict))
-            for h in b.constraints:  # z - x in b
-                lifted = h.normal + tuple(-c for c in h.normal)
-                cons.append(int_row(lifted, h.num, h.den, h.strict))
-            rows = _normalize_constraints(cons)
-            reduced = None if rows is None else _eliminate_vars(rows, range(n, 2 * n))
-            if reduced is None:
-                continue
-            trimmed = tuple(int_row(h.normal[:n], h.num, h.den, h.strict) for h in reduced)
-            out.append(Cell(n, trimmed))
-    return PLSet(n, _light_cleanup(out))
+        for steps in cones:
+            rows = a.constraints
+            for j, ray in steps:
+                rows = _fm_step(rows, j, ray)
+                if rows is None:
+                    break
+            else:
+                out.append(Cell(s.dim, rows))
+    return PLSet(s.dim, _light_cleanup(out))
 
 
 def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bool:
@@ -653,16 +657,12 @@ def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bo
             # l.a - c has the sign of l.(pa) * den - num * d, as d, den > 0.
             la = sum(map(mul, normal, pa)) * den
             rhs = num * d
-            if la < rhs:
-                continue
             if la > rhs:
                 return False
-            lv = sum(map(mul, normal, pv))
-            if lv < 0:
-                continue
-            if lv == 0 and not strict:
-                continue
-            return False
+            if la == rhs:
+                lv = sum(map(mul, normal, pv))
+                if lv > 0 or (lv == 0 and strict):
+                    return False
         return True
 
     return any(cell_ok(c) for c in s.cells)

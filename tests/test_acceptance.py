@@ -46,6 +46,7 @@ from staircase import (
     verify_minimality,
     witness,
 )
+from staircase import qe
 from staircase.decompose import IrreducibleFamily
 from staircase.discrete import discrete_primary_decomposition
 from staircase.socle import top_direct
@@ -315,18 +316,35 @@ def test_criterion_7_real_discrete_correspondence():
 # -- n = 4 --------------------------------------------------------------------
 
 
-def test_n4_reconstruction_exactness():
+def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
-    # unless canonicalize absorbs cells contained in others at every size
+    # unless canonicalize absorbs cells contained in others at every size.
+    # Its FM work is pinned by the row pairs the steps combine from cold
+    # caches: 120,906; without the escape-set condense of socle.max_along
+    # 1,124,267, and with FM in ascending index order instead of the greedy
+    # one 527,563.
+    pairs = [0]
+    fm_step = qe._fm_step
+
+    def counted_step(constraints, j, ray=None):
+        pairs[0] += (sum(1 for h in constraints if h.normal[j] < 0)
+                     * sum(1 for h in constraints if h.normal[j] > 0))
+        return fm_step(constraints, j, ray)
+
     start = time.perf_counter()
     for seed in range(1, 7):
         d = random_downset(seed, 4, 5)
+        if seed == 6:
+            qe.clear_caches()
+            monkeypatch.setattr(qe, "_fm_step", counted_step)
         pd = primary_decomposition(d)  # internal union check is exact
         fam = irreducible_family(d, table=pd.table)
         assert equals(reconstruct(fam, d), d.carrier), seed
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"n=4 decomposition took {elapsed:.1f}s"
-    _report(2, f"6 random n=4 downsets reconstructed exactly in {elapsed:.1f}s (< 120s)")
+    assert pairs[0] < 250_000, f"seed 6 combined {pairs[0]:,} FM row pairs"
+    _report(2, f"6 random n=4 downsets reconstructed exactly in {elapsed:.1f}s (< 120s); "
+               f"seed 6 combined {pairs[0]:,} FM row pairs (< 250,000)")
 
 
 def test_n4_real_discrete_correspondence():

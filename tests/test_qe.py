@@ -46,11 +46,24 @@ from staircase.qe import (
     clear_caches,
     condense,
     difference_witness,
+    get_cell_limit,
     is_empty_cell,
+    set_cell_limit,
     witness_cell,
 )
 
+from staircase.geometry import (
+    _AXIS_CONDITIONS,
+    _axis_cell,
+    all_faces,
+    cone_cell,
+    face_interior,
+    line_cell,
+    orthant_cell,
+    upset_cone_cell,
+)
 from staircase.rationals import dot, int_row
+from staircase.socle import _m_tau
 
 from conftest import hs, rational_grid
 
@@ -93,7 +106,6 @@ def test_dimension_mismatch_rejected():
 
 def test_cell_limit_guard():
     from staircase import CellLimitExceeded
-    from staircase.qe import get_cell_limit, set_cell_limit
 
     big = plset(
         2, *[cell(2, hs([1, 1], k), hs([1, -1], k), hs([-1, 1], k)) for k in range(6)]
@@ -105,6 +117,25 @@ def test_cell_limit_guard():
             complement(big)
     finally:
         set_cell_limit(previous)
+
+
+def test_fm_step_over_the_cell_limit_raises():
+    # rows +-x +- k*y <= 1, k = 1..5: each variable has 10 lower and 10
+    # upper bounds, so the first step of the emptiness check is 20 + 100 rows
+    from staircase import CellLimitExceeded
+
+    c = Cell(2, tuple(hs([sx, sy * k], 1) for sx in (1, -1) for sy in (1, -1)
+                      for k in range(1, 6)))
+    clear_caches()
+    previous = get_cell_limit()
+    set_cell_limit(50)
+    try:
+        with pytest.raises(CellLimitExceeded,
+                           match="Fourier-Motzkin step: size 120 exceeds the cell limit 50"):
+            is_empty_cell(c)
+    finally:
+        set_cell_limit(previous)
+    assert not is_empty_cell(c)
 
 
 # --- elimination -----------------------------------------------------------
@@ -282,6 +313,72 @@ def test_minkowski_with_plset_summand():
     )
     got = minkowski(pt, two_rays)
     assert equals(got, two_rays)
+
+
+def _random_axis_cone(rng, n):
+    """A product along the axes of points, rays (open or closed, either way)
+    and lines: the summands :func:`minkowski` accepts."""
+    cone = _axis_cell([rng.choice(sorted(_AXIS_CONDITIONS)) for _ in range(n)])
+    return cone.reflected() if rng.random() < 0.5 else cone
+
+
+def _lifted_minkowski(s, k):
+    """Test-local copy of the 2n-variable sum: ``x in a`` and ``z - x in b``
+    for each pair of cells, then FM eliminates ``x``."""
+    n = s.dim
+    zero = (0,) * n
+    out = []
+    for a in s.cells:
+        for b in (k,) if isinstance(k, Cell) else k.cells:
+            rows = [int_row(zero + h.normal, h.num, h.den, h.strict) for h in a.constraints]
+            rows += [int_row(h.normal + tuple(-c for c in h.normal), h.num, h.den, h.strict)
+                     for h in b.constraints]
+            rows = _normalize_constraints(rows)
+            rows = None if rows is None else _eliminate_vars(rows, range(n, 2 * n))
+            if rows is not None:
+                out.append(Cell(n, tuple(int_row(h.normal[:n], *h[1:]) for h in rows)))
+    return PLSet(n, tuple(out))
+
+
+def _engine_cones(n):
+    """Every summand the engine builds, plain and reflected, over all faces."""
+    cones = [PLSet(n, (orthant_cell(n, negative),)) for negative in (False, True)]
+    for f in all_faces(n):
+        cones += [PLSet(n, (build(f),)) for build in
+                  (face_interior, upset_cone_cell, line_cell, cone_cell)]
+        cones.append(_m_tau(f))
+    return cones + [reflect(k) for k in cones]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_minkowski_matches_the_lifted_sum(seed, n):
+    # Each axis adds its ray or line by one FM step in n variables; the set
+    # must be the one the 2n-variable lift gives.
+    rng = random.Random(seed)
+    s = _seeded_plset(rng, n)
+    k = PLSet(n, tuple(_random_axis_cone(rng, n) for _ in range(rng.randint(1, 3))))
+    assert equals(minkowski(s, k), _lifted_minkowski(s, k))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_minkowski_matches_the_lifted_sum_on_every_engine_cone(n):
+    rng = random.Random(n)
+    for k in _engine_cones(n):
+        for _ in range(2):
+            s = _seeded_plset(rng, n)
+            assert equals(minkowski(s, k), _lifted_minkowski(s, k)), (s, k)
+
+
+def test_minkowski_rejects_a_summand_that_is_no_axis_cone():
+    s = point_set([0, 0])
+    for bad in (cell(2, hs([1, 1], 0)),  # a slanted row
+                cell(2, hs([1, 0], 1)),  # an axis row with a nonzero offset
+                cell(2, hs([-1, 0], 0), hs([1, -2], 0))):  # a ray and a slanted row
+        with pytest.raises(StaircaseError, match="not an axis cone"):
+            minkowski(s, bad)
+    # an empty axis cone, x < 0 <= x, adds nothing
+    assert minkowski(s, cell(2, hs([1, 0], 0, True), hs([-1, 0], 0))).cells == ()
 
 
 # --- reflect ------------------------------------------------------------------
@@ -469,12 +566,12 @@ def test_operation_outputs_are_nonempty_and_normalized(seed, n):
     # dropping empty cells to one cleanup pass; every cell they return must
     # have been through both.
     rng = random.Random(seed)
-    s, t, k = (_seeded_plset(rng, n) for _ in range(3))
+    s, t = (_seeded_plset(rng, n) for _ in range(2))
     outputs = {
         "intersect": intersect(s, t),
         "difference": difference(s, t),
         "union": union(s, t),
-        "minkowski": minkowski(s, k.cells[0]),
+        "minkowski": minkowski(s, _random_axis_cone(rng, n)),
         "exists": exists(s, {rng.randrange(n)}),
         "closure": closure(s),
         "condense": condense(union(s, t)),
@@ -659,8 +756,12 @@ def _ref_normalize(rows):
     return {(normal, offset, strict) for normal, (offset, strict) in best.items()}
 
 
-def _ref_fm_step(rows, j):
+def _ref_fm_step(rows, j, ray=None):
     out = [r for r in rows if r[0][j] == 0]
+    if ray is not None:  # rows that meet x - t*sign*e_j most easily at t = 0
+        sign, strict = ray
+        out += [(normal, offset, was_strict or strict)
+                for normal, offset, was_strict in rows if normal[j] * sign < 0]
     for lo_normal, lo_offset, lo_strict in (r for r in rows if r[0][j] < 0):
         for up_normal, up_offset, up_strict in (r for r in rows if r[0][j] > 0):
             a, b = -lo_normal[j], up_normal[j]
@@ -710,16 +811,18 @@ def _fm_case(n):
         st.lists(row, min_size=1, max_size=5),
         st.lists(twin, max_size=3),
         st.sets(st.integers(0, n - 1)),
+        st.integers(0, 10**6),
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(_fm_case))
 def test_fm_matches_fraction_reference(case):
-    # Rows of ints and Fractions; FM, normalization and the rows that
-    # negation, reflection and the Minkowski sum build must match the
-    # Fraction arithmetic of the test-local reference exactly.
-    n, raw, twins, idxs = case
+    # Rows of ints and Fractions; FM (plain and adding a ray), normalization
+    # and the rows that negation, reflection and the Minkowski sum with an
+    # axis cone build must match the Fraction arithmetic of the test-local
+    # reference exactly.
+    n, raw, twins, idxs, seed = case
     raw += [([k * x for x in raw[i % len(raw)][0]], b, s) for i, k, b, s in twins]
     rows = _normalize_constraints(HalfSpace(tuple(a), b, s) for a, b, s in raw)
     ref = _ref_normalize(_ref_row(a, b, s) for a, b, s in raw)
@@ -733,13 +836,14 @@ def test_fm_matches_fraction_reference(case):
         assert _as_ref([h.negated()]) == {_ref_row([-c for c in h.normal], -h.offset, not h.strict)}
         assert _as_ref([h.reflected()]) == {_ref_row([-c for c in h.normal], h.offset, h.strict)}
     for j in range(n):
-        step = _fm_step(rows, j)
-        assert _as_ref(step) == _ref_fm_step(ref, j)
-        for h in step or ():
-            _assert_canonical_row(h)
+        for ray in (None, (1, False), (1, True), (-1, False), (-1, True)):
+            step = _fm_step(rows, j, ray)
+            assert _as_ref(step) == _ref_fm_step(ref, j, ray)
+            for h in step or ():
+                _assert_canonical_row(h)
     assert _as_ref(_eliminate_vars(rows, idxs)) == _ref_eliminate(ref, idxs)
     c = Cell(n, rows)
-    for out in minkowski(PLSet(n, (c,)), c.reflected()).cells:
+    for out in minkowski(PLSet(n, (c,)), _random_axis_cone(random.Random(seed), n)).cells:
         for h in out.constraints:
             _assert_canonical_row(h)
 
