@@ -21,7 +21,7 @@ from staircase import (
     verify_minimality,
 )
 from staircase.jsonio import dumps, plset_to_json, socle_table_to_json
-from staircase.svg import write_plset_svg
+from staircase.svg import render_plset
 
 
 def main() -> None:
@@ -52,7 +52,8 @@ def main() -> None:
     print("reconstruction:", dumps(plset_to_json(rebuilt)))
 
     out = os.environ.get("TRIANGLE_SVG", "triangle.svg")
-    write_plset_svg(triangle.carrier, [-1, -1], [2, 2], out)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(render_plset(triangle.carrier, [-1, -1], [2, 2]))
     print(f"wrote {out}")
 
 

@@ -40,7 +40,7 @@ from .rationals import frac, parse_rational, vec
 from .socle import (
     associated_faces, attached_faces, density_report, frontier, socle, socle_table, top, top_table,
 )
-from .svg import write_plset_svg
+from .svg import render_plset
 
 _KIND = {Downset: "downset", Upset: "upset", Interval: "interval", DiscreteDownset: "discrete"}
 _REAL = ("downset", "upset", "interval")
@@ -94,11 +94,18 @@ def _face_pair(args, names: tuple[str, str], dim: int) -> tuple[Face, Face] | No
     return None if first is None else (first, second)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # an input error, as a failed read is
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload, out: str | None) -> None:
     text = dumps(payload)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out, text + "\n")
     else:
         print(text)
 
@@ -120,14 +127,14 @@ def _socle(m, args):
     faces = _face_pair(args, jsonio.SOCLE_FACES, m.dim)
     if faces is None:
         return jsonio.socle_table_to_json(socle_table(m))
-    return jsonio.face_pair_entry_to_json(jsonio.SOCLE_FACES, faces, socle(m, *faces))
+    return jsonio.face_pair_entry_to_json(jsonio.SOCLE_FACES, socle(m, *faces))
 
 
 def _top(m, args):
     faces = _face_pair(args, jsonio.TOP_FACES, m.dim)
     if faces is None:
         return jsonio.face_pair_table_to_json(m.dim, top_table(m), jsonio.TOP_FACES)
-    return jsonio.face_pair_entry_to_json(jsonio.TOP_FACES, faces, top(m, *faces))
+    return jsonio.face_pair_entry_to_json(jsonio.TOP_FACES, top(m, *faces))
 
 
 def _face_list(name: str, faces) -> dict:
@@ -194,7 +201,7 @@ def _verify(obj, args):
 def _plot(m, args):
     box = _rationals(args, "box", 4)
     out = args.svg or "staircase.svg"
-    write_plset_svg(m.carrier, box[:2], box[2:], out, width=args.width)
+    _write_text(out, render_plset(m.carrier, box[:2], box[2:], width=args.width))
     return {"written": out}
 
 

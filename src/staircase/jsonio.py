@@ -16,7 +16,7 @@ from .discrete import DiscreteDecomposition, DiscreteDownset, DiscreteIdeal
 from .errors import InputFormatError
 from .geometry import Cell, Downset, Face, Interval, PLSet, Upset, interval
 from .rationals import HalfSpace, format_rational, parse_rational
-from .socle import SocleTable
+from .socle import SocleEntry, SocleTable
 
 
 def _reject_float(value: str) -> None:
@@ -205,27 +205,19 @@ def _entry_sets(e) -> dict:
     return {"degrees": plset_to_json(e.degrees), "cosets": plset_to_json(e.cosets)}
 
 
-def face_pair_entry_to_json(names: tuple[str, str], faces: tuple[Face, Face], e) -> dict:
+def face_pair_entry_to_json(names: tuple[str, str], e: SocleEntry) -> dict:
     """One socle or top entry with its two faces named: ``{tau, sigma,
     degrees, cosets}`` or ``{rho, xi, degrees, cosets}``."""
-    return {
-        names[0]: face_to_json(faces[0]),
-        names[1]: face_to_json(faces[1]),
-        **_entry_sets(e),
-    }
+    return {names[0]: face_to_json(e.tau), names[1]: face_to_json(e.sigma), **_entry_sets(e)}
 
 
 def face_pair_table_to_json(dim: int, entries: dict, names: tuple[str, str]) -> dict:
     """A socle or top table, each entry keyed ``tau=[..];sigma=[..]`` (or
     ``rho=[..];xi=[..]``)."""
-    out = {}
-    for (first, second), e in sorted(
-        entries.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-    ):
-        out[f"{names[0]}={face_to_json(first)};{names[1]}={face_to_json(second)}"] = (
-            _entry_sets(e)
-        )
-    return {"dim": dim, "entries": out}
+    return {"dim": dim, "entries": {
+        f"{names[0]}={face_to_json(e.tau)};{names[1]}={face_to_json(e.sigma)}": _entry_sets(e)
+        for e in entries.values()
+    }}
 
 
 def socle_table_to_json(table: SocleTable) -> dict:

@@ -92,14 +92,11 @@ class GridSpec:
         qe._check_budget(math.prod(counts), "oracle grid")
         return [[l + k * self.step for k in range(c)] for l, c in zip(self.lo, counts)]
 
-    def points(self) -> Iterator[Vec]:
-        """Every grid point; raises ``CellLimitExceeded`` before the first one
-        when the grid has more points than the cell limit."""
-        yield from itertools.product(*self._axes())
-
     def scaled_points(self) -> Iterator[tuple[tuple[int, ...], Vec]]:
         """Every grid point ``p`` as ``(P, p)``, where the integers ``P`` are
-        ``p`` times ``denominator``; in the order of :meth:`points`."""
+        ``p`` times ``denominator``, the last coordinate running fastest.
+        Raises ``CellLimitExceeded`` before the first point when the grid has
+        more points than the cell limit."""
         d = self.denominator
         axes = self._axes()
         yield from zip(
@@ -538,7 +535,7 @@ def _top_routes_report(u: Upset, mirrored: SocleTable) -> Report:
 
     report = Report("top-route-agreement")
     for (rho, xi), e in mirrored.entries.items():
-        a = _top_entry(rho, xi, e)
+        a = _top_entry(e)
         report.checked += 1
         b = top_direct(u, rho, xi)
         if not (qe.equals(a.degrees, b.degrees) and qe.equals(a.cosets, b.cosets)):

@@ -9,18 +9,17 @@ degreewise on piecewise-linear carriers:
 * boundary degrees atop ``sigma``: the upper boundary of the downset part,
   cut down to the upset part plus the relative interior of ``sigma``,
   memoized per instance (the frontier reads the full-face one);
-* the nadir stratification subtracts the boundary degrees of all smaller
-  faces between ``tau`` and ``sigma``, largest face first;
+* the nadir stratification subtracts the boundary degrees of the faces
+  between ``tau`` and ``sigma`` one step down from ``sigma``;
 * the closed-socle step keeps the degrees that are maximal modulo ``tau``.
 
-The dual generator functors (tops along faces, attached faces) are obtained
-by degree negation, with an independently coded direct route for
-cross-checking.
+The dual generator functors (tops along faces, attached faces) are socle
+entries of the reflected module, reflected back, with an independently
+coded direct route for cross-checking.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -191,14 +190,7 @@ class SocleTable:
             ) from None
 
     def nonzero_items(self) -> list[SocleEntry]:
-        return [
-            e
-            for _, e in sorted(
-                self.entries.items(),
-                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-            )
-            if not e.is_zero()
-        ]
+        return [e for e in self.entries.values() if not e.is_zero()]
 
     def associated_faces(self) -> frozenset[Face]:
         return frozenset(e.tau for e in self.nonzero_items())
@@ -208,19 +200,17 @@ class SocleTable:
 
 
 def _faces_between(tau: Face, sigma: Face) -> list[Face]:
-    """Faces ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma``, largest first.
+    """The faces ``sigma minus {j}`` for ``j`` in ``sigma`` but not ``tau``.
 
-    Strata subtract their boundaries in this order.  For a downset the
-    boundary atop ``sigma'`` lies in the one atop any larger face (as
-    ``a - eps*1_sigma <= a - eps*1_sigma'``), so once the largest faces are
-    subtracted the smaller ones cut nothing.
+    Subtracting the boundaries atop these cuts as much as every face
+    ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma`` would, for every module kind.
+    Each ``sigma'`` lies inside some ``sigma minus {j}``.  The upper boundary
+    of ``D`` only grows as the face grows (``D`` is a downset), and
+    ``U + face-interior`` only shrinks (``U`` is an upset).  So a degree atop
+    ``sigma`` and atop ``sigma'`` is already atop ``sigma minus {j}``.  The
+    lower boundaries of :func:`top_direct` also only grow with the face.
     """
-    extra = sorted(sigma.coords - tau.coords)
-    out = []
-    for r in range(len(extra)):
-        for combo in itertools.combinations(extra, r):
-            out.append(Face(tau.dim, tau.coords | set(combo)))
-    return out[::-1]
+    return [Face(tau.dim, sigma.coords - {j}) for j in sorted(sigma.coords - tau.coords)]
 
 
 def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
@@ -250,6 +240,7 @@ def socle_table(m: Downset | Interval) -> SocleTable:
     if not isinstance(m, Downset):
         interval_interior_warning(iv)
     entries: dict[tuple[Face, Face], SocleEntry] = {}
+    # all_faces is in Face.sort_key order, so no reader re-sorts the entries
     for tau in all_faces(iv.dim):
         for sigma in all_faces(iv.dim):
             if tau.coords <= sigma.coords:
@@ -368,17 +359,6 @@ def density_report(b: FamilyMap | SocleTable, a: SocleTable) -> DensityReport:
 # Tops (Matlis-dual generator functors)
 
 
-@dataclass(frozen=True)
-class TopEntry:
-    rho: Face
-    xi: Face
-    degrees: PLSet
-    cosets: PLSet
-
-    def is_zero(self) -> bool:
-        return qe.is_empty(self.degrees)
-
-
 def _mirrored(u: Upset | Interval) -> Downset | Interval:
     """The module whose socle the tops of ``u`` reflect.  A bare upset mirrors
     to a downset, skipping the interval route's interior warning and degrees."""
@@ -389,32 +369,33 @@ def _mirrored(u: Upset | Interval) -> Downset | Interval:
     raise ValidationError(f"tops are defined for upsets and intervals, got {type(u).__name__}")
 
 
-def _top_entry(rho: Face, xi: Face, socle_entry: SocleEntry) -> TopEntry:
-    """The top along ``rho`` with attachment ``xi`` read off the socle entry
-    of the reflected module: reflect its degrees, then project them.  The
-    degrees come canonical, and reflection keeps them so, row for row."""
-    degrees = qe.reflect(socle_entry.degrees)
-    return TopEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))
+def _top_entry(e: SocleEntry) -> SocleEntry:
+    """The top along ``rho = e.tau`` with attachment ``xi = e.sigma``: the
+    socle entry ``e`` of the reflected module, reflected.  Reflection
+    commutes with the projection modulo ``rho`` and keeps canonical sets
+    canonical, row for row."""
+    return SocleEntry(e.tau, e.sigma, qe.reflect(e.degrees), qe.reflect(e.cosets))
 
 
-def top(u: Upset | Interval, rho: Face, xi: Face) -> TopEntry:
+def top(u: Upset | Interval, rho: Face, xi: Face) -> SocleEntry:
     """Top along ``rho`` with attachment ``xi``, by reflecting the socle."""
-    return _top_entry(rho, xi, socle(_mirrored(u), rho, xi))
+    return _top_entry(socle(_mirrored(u), rho, xi))
 
 
-def top_table(u: Upset | Interval) -> dict[tuple[Face, Face], TopEntry]:
-    mirrored = socle_table(_mirrored(u))
-    return {(rho, xi): _top_entry(rho, xi, e) for (rho, xi), e in mirrored.entries.items()}
+def top_table(u: Upset | Interval) -> dict[tuple[Face, Face], SocleEntry]:
+    return {faces: _top_entry(e) for faces, e in socle_table(_mirrored(u)).entries.items()}
 
 
 def attached_faces(u: Upset | Interval) -> frozenset[Face]:
-    return frozenset(e.rho for e in top_table(u).values() if not e.is_zero())
+    """Faces along which the top is nonzero: the reflection's associated faces."""
+    return associated_faces(_mirrored(u))
 
 
-def top_direct(u: Upset, rho: Face, xi: Face) -> TopEntry:
-    """Oracle route: independently coded generator pipeline, with lower
-    boundaries beneath the faces between ``rho`` and ``xi``, stratified, then
-    minimized along ``rho``.  Used to cross-check the reflection route."""
+def top_direct(u: Upset, rho: Face, xi: Face) -> SocleEntry:
+    """Oracle route: independently coded generator pipeline, with the lower
+    boundary beneath ``xi`` stratified by those beneath the faces one step
+    down (:func:`_faces_between`), then minimized along ``rho``.  Used to
+    cross-check the reflection route."""
     if not isinstance(u, Upset):
         raise ValidationError("the direct generator route takes an honest upset")
     if not rho.coords <= xi.coords:
@@ -425,4 +406,4 @@ def top_direct(u: Upset, rho: Face, xi: Face) -> TopEntry:
         if not stratum.cells:
             break
     degrees = min_along(qe.canonicalize(stratum), rho)
-    return TopEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))
+    return SocleEntry(rho, xi, degrees, qe.canonicalize(project_mod(degrees, rho)))

@@ -67,8 +67,12 @@ def render_plset(
     hiv = tuple(frac(x) for x in hi)
     if len(lov) != 2 or len(hiv) != 2 or lov[0] >= hiv[0] or lov[1] >= hiv[1]:
         raise ValidationError("viewport box must be [x0,y0],[x1,y1] with x0<x1, y0<y1")
+    if width < 1:
+        raise ValidationError(f"SVG width must be at least 1 pixel, got {width}")
     spanx, spany = hiv[0] - lov[0], hiv[1] - lov[1]
     height = int(width * spany / spanx)
+    if height < 1:
+        raise ValidationError(f"viewport box too flat: 0 pixels high at width {width}")
     scale = Fraction(width) / spanx
 
     def to_px(p: Vec) -> tuple[str, str]:
@@ -111,8 +115,3 @@ def render_plset(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n{body}\n</svg>\n'
     )
-
-
-def write_plset_svg(s: PLSet, lo: Sequence, hi: Sequence, path: str, width: int = 480) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_plset(s, lo, hi, width))

@@ -221,6 +221,26 @@ def test_plot_svg(capsys, tmp_path, triangle_path):
     assert "stroke-dasharray" in svg  # strict boundary pieces are dashed
 
 
+def test_failed_out_write_exits_1(capsys, tmp_path, triangle_path):
+    missing = tmp_path / "missing"
+    assert run(["validate", "--out", str(missing / "x.json"), triangle_path]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert run(["plot", "--box", "[-2,-2,2,2]", "--out", str(missing / "x.svg"),
+                triangle_path]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("box, width", [
+    ("[-2,-2,2,2]", "-5"), ("[-2,-2,2,2]", "0"), ("[0,0,1000,1]", "480"),
+])
+def test_plot_rejects_a_degenerate_picture(capsys, tmp_path, triangle_path, box, width):
+    out = tmp_path / "t.svg"
+    assert run(["plot", "--box", box, "--width", width, "--out", str(out), triangle_path]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emitted_plsets_reparse(capsys, triangle_path, triangle_quotient):
     code, data = run_json(capsys, "boundary", "--sigma", "[1,2]", triangle_path)
     assert code == 0

@@ -54,7 +54,7 @@ def test_gridspec_invariants():
     with pytest.raises(ValidationError):
         GridSpec((F(0),), (F(1),), F(1, 2), F(1, 2))
     g = GridSpec((F(0), F(0)), (F(1), F(1)), F(1, 2), F(1, 8))
-    assert len(list(g.points())) == 9
+    assert len(list(g.scaled_points())) == 9
 
 
 def test_membership_self_check(half_plane):
@@ -215,23 +215,26 @@ def test_grid_points_raise_under_a_small_cell_limit():
     from conftest import rational_grid
 
     grid = GridSpec((-1, 0), (1, Fraction(3, 2)), Fraction(2, 3), Fraction(1, 8))
-    assert list(grid.points()) == rational_grid((-1, 0), (1, Fraction(3, 2)), Fraction(2, 3))
+    points = [p for _, p in grid.scaled_points()]
+    assert points == rational_grid((-1, 0), (1, Fraction(3, 2)), Fraction(2, 3))
     previous = get_cell_limit()
     set_cell_limit(11)  # the grid has 4 x 3 points
     try:
         with pytest.raises(CellLimitExceeded, match="grid"):
-            next(grid.points())
+            next(grid.scaled_points())
     finally:
         set_cell_limit(previous)
 
 
 def test_grid_scaled_points_are_the_points_times_the_denominator():
+    from conftest import rational_grid
+
     grid = GridSpec((F(-5, 7), F(0)), (F(1), F(1)), F(1, 3), F(1, 10))
     d = grid.denominator
     assert d == 840  # lcm of 7, 3 and the 40 of probe/4
     assert grid.depths() == (84, 42, 21)
     pairs = list(grid.scaled_points())
-    assert [p for _, p in pairs] == list(grid.points())
+    assert [p for _, p in pairs] == rational_grid(grid.lo, grid.hi, grid.step)
     assert all(P == tuple(x * d for x in p) for P, p in pairs)
     assert all(type(x) is int for P, _ in pairs for x in P)
 

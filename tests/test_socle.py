@@ -44,15 +44,23 @@ from staircase import (
     universe,
 )
 from staircase.geometry import (
+    Face,
     as_interval,
     line_cell,
+    lower_boundary_direct,
     orthant_cell,
+    project_mod,
     reflect_interval,
     upper_boundary,
 )
 from staircase.oracle import boundary_degrees_direct, boundary_probe_check, default_grid
-from staircase.qe import minkowski
-from staircase.socle import _top_entry, boundary_degrees, top_direct, validate_socle_table
+from staircase.qe import condense, minkowski, reflect
+from staircase.socle import (
+    boundary_degrees,
+    min_along,
+    top_direct,
+    validate_socle_table,
+)
 
 from conftest import hs
 
@@ -285,31 +293,71 @@ def test_frontier_reads_the_socle_tables_full_face_boundary(monkeypatch):
     assert equals(front, difference(closure(d.carrier), d.carrier))
 
 
-def _stratum_smallest_first(m, tau, sigma):
-    """Reference: the boundary atop ``sigma`` minus those atop the faces
-    between ``tau`` and ``sigma``, subtracted smallest face first."""
+def _faces_strictly_between(tau, sigma):
+    """Every face ``sigma'`` with ``tau ⊆ sigma' ⊊ sigma``, smallest first."""
     extra = sorted(sigma.coords - tau.coords)
-    result = boundary_degrees(m, sigma)
-    for r in range(len(extra)):
-        for combo in itertools.combinations(extra, r):
-            result = difference(result, boundary_degrees(m, face(m.dim, tau.coords | set(combo))))
+    return [face(tau.dim, tau.coords | set(combo))
+            for r in range(len(extra)) for combo in itertools.combinations(extra, r)]
+
+
+def _subtract_boundaries(boundary, m, sigma, faces):
+    """Reference: the boundary atop ``sigma`` minus those atop ``faces``, in order."""
+    result = boundary(m, sigma)
+    for f in faces:
+        result = difference(result, boundary(m, f))
     return result
 
 
 @pytest.mark.parametrize(
     "kind, seed, n, cells",
     [("downset", 0, 2, 8), ("downset", 7, 2, 8), ("downset", 10003, 3, 5),
-     ("upset", 881, 2, 5), ("interval", 22001, 2, 3)],
+     ("upset", 881, 2, 5), ("interval", 22001, 2, 3),
+     ("upset", 13, 3, 4), ("interval", 22010, 3, 3)],
 )
 def test_stratum_order_does_not_change_the_stratum(kind, seed, n, cells):
-    # largest face first is an order of the subtraction, not of the answer
+    # subtracting the faces one step down is every face between subtracted
+    # largest first, row for row, and smallest first, as a set
     make = {"downset": random_downset, "upset": random_upset, "interval": random_interval}
     m = make[kind](seed, n, cells)
     for tau in all_faces(n):
         for sigma in all_faces(n):
             if tau.coords <= sigma.coords:
-                assert equals(socle_stratum(m, tau, sigma),
-                              _stratum_smallest_first(m, tau, sigma)), (tau, sigma)
+                got = socle_stratum(m, tau, sigma)
+                between = _faces_strictly_between(tau, sigma)
+                largest_first = _subtract_boundaries(boundary_degrees, m, sigma, between[::-1])
+                assert got == condense(largest_first), (tau, sigma)
+                assert equals(got, _subtract_boundaries(boundary_degrees, m, sigma, between))
+
+
+@pytest.mark.parametrize("seed, n, cells", [(872, 2, 5), (883, 2, 5), (16, 3, 3), (18, 3, 3)])
+def test_top_direct_one_step_down_is_every_face_between(seed, n, cells):
+    # the oracle's lower-boundary strata obey the same rule
+    u = random_upset(seed, n, cells)
+    lower = lambda m, f: lower_boundary_direct(m, f).carrier
+    for rho in all_faces(n):
+        for xi in all_faces(n):
+            if rho.coords <= xi.coords:
+                between = _faces_strictly_between(rho, xi)
+                stratum = _subtract_boundaries(lower, u, xi, between[::-1])
+                degrees = min_along(canonicalize(stratum), rho)
+                got = top_direct(u, rho, xi)
+                assert got.degrees == degrees, (rho, xi)
+                assert got.cosets == canonicalize(project_mod(degrees, rho)), (rho, xi)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_faces_come_in_sort_key_order(n):
+    faces = all_faces(n)
+    assert faces == sorted(faces, key=Face.sort_key)
+
+
+@pytest.mark.parametrize("make, seed, n, cells", [
+    (random_downset, 7, 2, 8), (random_downset, 10003, 3, 5), (random_interval, 22001, 2, 3),
+])
+def test_socle_table_entries_come_in_face_pair_order(make, seed, n, cells):
+    # nonzero_items and the JSON tables read the entries in this order unsorted
+    keys = list(socle_table(make(seed, n, cells)).entries)
+    assert keys == sorted(keys, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
 
 
 def test_triangle_plus_ray_socle(triangle_plus_ray):
@@ -489,7 +537,22 @@ def test_upset_tops_match_interval_route(seed, n, cells):
     table = top_table(u)
     assert table.keys() == mirrored.entries.keys()
     for (rho, xi), e in mirrored.entries.items():
-        want = _top_entry(rho, xi, e)
+        # reflect the socle degrees, then project and canonicalize them
+        want_degrees = reflect(e.degrees)
+        want_cosets = canonicalize(project_mod(want_degrees, rho))
         for got in (table[(rho, xi)], top(u, rho, xi)):
-            assert equals(got.degrees, want.degrees)
-            assert equals(got.cosets, want.cosets)
+            assert (got.tau, got.sigma) == (rho, xi)
+            assert equals(got.degrees, want_degrees)
+            assert equals(got.cosets, want_cosets)
+
+
+@pytest.mark.parametrize("make, seed, n, cells", [
+    (random_upset, 880, 2, 5), (random_upset, 893, 2, 5), (random_upset, 13, 3, 4),
+    (random_interval, 22001, 2, 3), (random_interval, 22002, 2, 3),
+])
+def test_attached_faces_are_the_faces_of_nonzero_tops(make, seed, n, cells):
+    u = make(seed, n, cells)
+    table = top_table(u)
+    want = frozenset(rho for (rho, _), e in table.items() if not e.is_zero())
+    assert want
+    assert attached_faces(u) == want

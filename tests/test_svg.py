@@ -2,7 +2,7 @@
 
 import pytest
 
-from staircase import DimensionMismatch, cell, plset
+from staircase import DimensionMismatch, ValidationError, cell, plset
 from staircase.svg import render_plset
 
 from conftest import hs
@@ -39,3 +39,16 @@ def test_empty_cells_skipped():
 def test_dimension_guard():
     with pytest.raises(DimensionMismatch):
         render_plset(plset(3, cell(3)), [-1, -1, -1], [1, 1, 1])
+
+
+@pytest.mark.parametrize("lo, hi, width", [
+    ([-2, -2], [2, 2], -5), ([-2, -2], [2, 2], 0), ([0, 0], [1000, 1], 480),
+])
+def test_degenerate_picture_size_is_rejected(triangle_quotient, lo, hi, width):
+    with pytest.raises(ValidationError):
+        render_plset(triangle_quotient.carrier, lo, hi, width)
+
+
+def test_one_pixel_picture_renders(triangle_quotient):
+    svg = render_plset(triangle_quotient.carrier, [0, 0], [1000, 2], 500)
+    assert 'width="500" height="1"' in svg
