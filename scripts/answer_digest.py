@@ -14,10 +14,14 @@ A change that rewrites cell syntax changes the digest even when every set
 stays the same.  For that case, ``--dump FILE`` writes every answer as
 ``plset_to_json``, and ``--against FILE`` compares each answer with such a
 dump by ``qe.equals``.  It prints the first instance and answer that
-differ and exits 1.  The dump and the comparison also cover the upper
-boundary ``upper_boundary(d, sigma)`` of every face, the sets the
-benchmark's membership workload tests points against; the digest does not
-hash them.
+differ and exits 1.  The dump and the comparison also cover, unhashed:
+
+* the upper boundary ``upper_boundary(d, sigma)`` of every face, the sets
+  the benchmark's membership workload tests points against;
+* the socle tables of the benchmark's verify mix of n=2 upsets and
+  intervals (``random_upset`` seeds 21000-21015 with budget 4,
+  ``random_interval`` seeds 22000-22005 with budget 3): every top's
+  degrees and cosets for an upset, every socle entry's for an interval.
 
 Usage: PYTHONPATH=src python3 scripts/answer_digest.py [--dump FILE] [--against FILE]
 """
@@ -33,7 +37,11 @@ from staircase import (
     primary_decomposition,
     qe,
     random_downset,
+    random_interval,
+    random_upset,
     reconstruct,
+    socle_table,
+    top_table,
     upper_boundary,
 )
 from staircase.jsonio import (
@@ -47,6 +55,9 @@ from staircase.jsonio import (
 )
 
 CORPUS = [(s, 2, 8) for s in range(100)] + [(s, 3, 5) for s in range(10_000, 10_025)]
+# the upsets and intervals of the benchmark's verify mix: (kind, seed, budget)
+MIXED = ([("upset", s, 4) for s in range(21_000, 21_016)]
+         + [("interval", s, 3) for s in range(22_000, 22_006)])
 
 
 def rows(s) -> list:
@@ -62,11 +73,7 @@ def instance_answers(seed: int, n: int, budget: int) -> tuple[list, list]:
     d = instance_from_json(instance_to_json(random_downset(seed, n, budget)))
     pd = primary_decomposition(d)
     table = pd.table
-    out = [("carrier", d.carrier)]
-    for key in sorted(table.entries, key=lambda k: (Face.sort_key(k[0]), Face.sort_key(k[1]))):
-        entry = table.entries[key]
-        name = f"tau={face_to_json(key[0])};sigma={face_to_json(key[1])}"
-        out += [(f"{name} degrees", entry.degrees), (f"{name} cosets", entry.cosets)]
+    out = [("carrier", d.carrier)] + entry_answers(table.entries)
     for tau, comp in pd.components.items():
         name = f"component tau={face_to_json(tau)}"
         out += [(f"{name} interval", comp.interval.carrier),
@@ -75,6 +82,24 @@ def instance_answers(seed: int, n: int, budget: int) -> tuple[list, list]:
     boundaries = [(f"boundary sigma={face_to_json(sigma)}", upper_boundary(d, sigma).carrier)
                   for sigma in all_faces(n)]
     return out, boundaries
+
+
+def entry_answers(entries: dict) -> list:
+    """The degrees and cosets of face-pair entries, in face-pair order."""
+    out = []
+    for key in sorted(entries, key=lambda k: (Face.sort_key(k[0]), Face.sort_key(k[1]))):
+        entry = entries[key]
+        name = f"tau={face_to_json(key[0])};sigma={face_to_json(key[1])}"
+        out += [(f"{name} degrees", entry.degrees), (f"{name} cosets", entry.cosets)]
+    return out
+
+
+def mixed_answers(kind: str, seed: int, budget: int) -> list:
+    """The tops of an upset of the verify mix, or an interval's socle
+    entries, loaded from its instance JSON as the CLI does."""
+    make = random_upset if kind == "upset" else random_interval
+    m = instance_from_json(instance_to_json(make(seed, 2, budget)))
+    return entry_answers(top_table(m) if kind == "upset" else socle_table(m).entries)
 
 
 def first_difference(answers: list, recorded: dict) -> str | None:
@@ -100,21 +125,30 @@ def main(argv=None) -> int:
             recorded = loads(fh.read())
     digest = hashlib.sha256()
     dump = {}
+
+    def compare(instance: str, answers: list) -> bool:
+        """Dump the answers and check them against the recorded ones."""
+        if args.dump:
+            dump[instance] = {key: plset_to_json(s) for key, s in answers}
+        if recorded is None:
+            return True
+        if instance not in recorded:
+            print(f"differs: {instance} is missing from {args.against}")
+            return False
+        key = first_difference(answers, recorded[instance])
+        if key is not None:
+            print(f"differs: {instance}: {key}")
+            return False
+        return True
+
     for seed, n, budget in CORPUS:
         answers, boundaries = instance_answers(seed, n, budget)
         digest.update(repr((seed, n, [rows(s) for _, s in answers])).encode())
-        answers += boundaries
-        instance = f"n={n} seed={seed}"
-        if args.dump:
-            dump[instance] = {key: plset_to_json(s) for key, s in answers}
-        if recorded is not None:
-            if instance not in recorded:
-                print(f"differs: {instance} is missing from {args.against}")
-                return 1
-            key = first_difference(answers, recorded[instance])
-            if key is not None:
-                print(f"differs: {instance}: {key}")
-                return 1
+        if not compare(f"n={n} seed={seed}", answers + boundaries):
+            return 1
+    for kind, seed, budget in MIXED:
+        if not compare(f"{kind} n=2 seed={seed}", mixed_answers(kind, seed, budget)):
+            return 1
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write(dumps(dump))

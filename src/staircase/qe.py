@@ -159,7 +159,13 @@ def _fm_step(
     With ``ray = (sign, strict)`` it adds the ray ``t * sign * e_j``, ``t >= 0``
     (``> 0`` if strict), instead: a row whose ``x_j`` coefficient has sign
     ``-sign`` meets ``x - t * sign * e_j`` most easily at ``t = 0``, so it also
-    stays (strict for an open ray); the others bound ``t`` only from below."""
+    stays (strict for an open ray); the others bound ``t`` only from below.
+
+    The rows must come normalized, as a cell's rows do.  A step that
+    combines no pair (no lower or no upper bound on ``x_j``) builds no new
+    row, so its output is normalized as it stands and is returned without
+    a normalizing pass; a lone false row then stays, for the caller's cell
+    to catch."""
     lows: list[HalfSpace] = []
     ups: list[HalfSpace] = []
     rest: list[HalfSpace] = []
@@ -177,6 +183,8 @@ def _fm_step(
         sign, strict = ray
         kept = lows if sign > 0 else ups
         out += [h.strictened() for h in kept] if strict else kept
+    if not lows or not ups:
+        return tuple(out)
     for lo in lows:
         a = -lo.normal[j]  # positive
         for up in ups:
@@ -195,18 +203,27 @@ def _eliminate_vars(constraints: Sequence[HalfSpace],
     Each step eliminates the variable whose step adds the fewest rows
     (``lo * up - lo - up``).  In ascending index order (as :func:`witness_cell`
     eliminates) the counts of ``scripts/work_counts.py`` stay the same, but
-    the steps combine 73,278 row pairs instead of 60,391 on the decompose
-    corpus and 539,308 instead of 129,358 on ``random_downset(s, 4, 5)``,
+    the steps combine 50,353 row pairs instead of 40,353 on the decompose
+    corpus and 79,106 instead of 29,596 on ``random_downset(s, 4, 5)``,
     s = 1-6.  The rows must come normalized, as a cell's rows do; each FM
-    step normalizes its output."""
+    step leaves its output normalized."""
     current = constraints
     remaining = set(idxs)
     while remaining:
-        # Pick the variable minimizing the number of new combinations.
+        # Pick the variable minimizing the number of new combinations; one
+        # pass over the rows counts the bounds on every remaining variable.
+        lows = dict.fromkeys(remaining, 0)
+        ups = dict.fromkeys(remaining, 0)
+        for h in current:
+            normal = h.normal
+            for j in remaining:
+                if normal[j] < 0:
+                    lows[j] += 1
+                elif normal[j] > 0:
+                    ups[j] += 1
         best_j, best_cost = -1, None
         for j in remaining:
-            lo = sum(1 for h in current if h.normal[j] < 0)
-            up = sum(1 for h in current if h.normal[j] > 0)
+            lo, up = lows[j], ups[j]
             cost = lo * up - lo - up
             if best_cost is None or cost < best_cost:
                 best_j, best_cost = j, cost
@@ -431,14 +448,15 @@ def canonicalize(s: PLSet) -> PLSet:
 
 
 def condense(s: PLSet) -> PLSet:
-    """:func:`canonicalize` on socle strata and degrees, and where measured to
-    pay: the escape set of ``socle.max_along``/``min_along`` and the union in
-    ``decompose.reconstruct``; elsewhere only results are canonicalized.  The
-    name stays because the benchmark's traced run counts ``qe.condense``.  A
-    covering pass (drop each cell covered by the union of the others) does not
-    pay, since the difference sweep leaves the pieces a subtrahend misses
-    unsplit: with it, decomposing the seeded corpus (as in :func:`canonicalize`)
-    took 34 s instead of 22 s on a 2-vCPU machine."""
+    """:func:`canonicalize` on socle degrees and the oracle's socle strata,
+    and where measured to pay: the escape set of the oracle
+    ``socle.min_along`` and the union in ``decompose.reconstruct``; elsewhere
+    only results are canonicalized.  The name stays because the benchmark's
+    traced run counts ``qe.condense``.  A covering pass (drop each cell
+    covered by the union of the others) does not pay, since the difference
+    sweep leaves the pieces a subtrahend misses unsplit: with it, decomposing
+    the seeded corpus (as in :func:`canonicalize`) took 34 s instead of 22 s
+    on a 2-vCPU machine."""
     return canonicalize(s)
 
 

@@ -9,9 +9,11 @@ degreewise on piecewise-linear carriers:
 * boundary degrees atop ``sigma``: the upper boundary of the downset part,
   cut down to the upset part plus the relative interior of ``sigma``,
   memoized per instance (the frontier reads the full-face one);
-* the nadir stratification subtracts the boundary degrees of the faces
-  between ``tau`` and ``sigma`` one step down from ``sigma``;
-* the closed-socle step keeps the degrees that are maximal modulo ``tau``.
+* the closed-socle step keeps the degrees atop ``sigma`` that are maximal
+  modulo ``tau``;
+* the nadir stratification then subtracts the downset part's upper
+  boundaries atop the faces between ``tau`` and ``sigma`` one step down
+  from ``sigma`` (:func:`socle` says why that order gives the same set).
 
 The dual generator functors (tops along faces, attached faces) are socle
 entries of the reflected module, reflected back, with an independently
@@ -59,32 +61,35 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
     Computed as ``s`` minus the degrees that survive a push outside ``tau``
     (one Minkowski sum with the punctured-cone cells) minus the degrees whose
     forward ``tau``-ray escapes ``s`` (one complement and one Minkowski sum).
-    Any ``s`` gives the same set, but ``s`` should come condensed, as socle
-    strata do: this runs no cleanup on it.  The result is condensed.
+    Any ``s`` gives the same set, but ``s`` should come condensed, as the
+    boundary degrees that :func:`socle` passes do.  This runs no cleanup on
+    ``s``, on the escape set or on the result beyond the light cleanup of
+    every boolean operation: :func:`socle` condenses once, after its own
+    subtraction, and each extra condense here was measured not to pay
+    (README, design notes).
     """
     if tau.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
-    escape = qe.minkowski(s, qe.reflect(_m_tau(tau)))
-    # Pays at n=4: without it, n=4 cells 82,673 -> 101,179, is_empty_cell
-    # 99,166 -> 140,554 (n<=3 cells: 126,690 -> 108,171).
-    result = qe.difference(s, qe.condense(escape))
+    result = qe.difference(s, qe.minkowski(s, qe.reflect(_m_tau(tau))))
     if result.cells and tau.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(tau).reflected())
         result = qe.difference(result, unstable)
-    return qe.condense(result)
+    return result
 
 
 def min_along(s: PLSet, rho: Face) -> PLSet:
     """Oracle route: order dual of :func:`max_along`,
-    ``(a - R^n_+) ∩ s = a - rho``, with the same cleanup points.
+    ``(a - R^n_+) ∩ s = a - rho``.
 
     Coded without any reflection so the generator-side pipeline is an
-    independent implementation.
+    independent implementation.  Unlike :func:`max_along` it condenses the
+    escape set and the result, since :func:`top_direct` passes it
+    fragmented strata and takes the result as the degrees.
     """
     if rho.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
     escape = qe.minkowski(s, _m_tau(rho))
-    result = qe.difference(s, qe.condense(escape))  # pays, as in max_along
+    result = qe.difference(s, qe.condense(escape))
     if result.cells and rho.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(rho))
         result = qe.difference(result, unstable)
@@ -112,8 +117,9 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
 
     For a downset ``U + sigma-interior`` is all of ``R^n``, so the result is
     the upper boundary itself; at the zero face it is the carrier.  The
-    result is memoized on ``m``, so a socle table and the oracle checks
-    built on the same instance share one computation per face.
+    result is memoized on ``m`` (an interval's upper boundary on its
+    downset part), so a socle table and the oracle checks built on the
+    same instance share one computation per face.
     """
     memo = m.__dict__.setdefault("_boundary_degrees", {})
     if sigma in memo:
@@ -125,7 +131,7 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
     else:
         iv = as_interval(m)  # a bare Upset, from the CLI or jsonio
         result = qe.intersect(
-            upper_boundary(iv.downset, sigma).carrier,
+            boundary_degrees(iv.downset, sigma),
             qe.minkowski(iv.upset.carrier, face_interior(sigma)),
         )
     memo[sigma] = result
@@ -213,12 +219,17 @@ def _faces_between(tau: Face, sigma: Face) -> list[Face]:
     return [Face(tau.dim, sigma.coords - {j}) for j in sorted(sigma.coords - tau.coords)]
 
 
-def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
-    """Boundary degrees atop ``sigma`` minus those atop any smaller face
-    containing ``tau``: the degrees whose nadir within the open star of
-    ``tau`` is exactly ``sigma``."""
+def _check_nadir(tau: Face, sigma: Face) -> None:
     if not tau.coords <= sigma.coords:
         raise FaceError("nadir must contain the face of persistence")
+
+
+def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
+    """Oracle route: boundary degrees atop ``sigma`` minus those atop any
+    smaller face containing ``tau``, the degrees whose nadir within the open
+    star of ``tau`` is exactly ``sigma``; :func:`socle` takes its
+    ``tau``-maximal degrees without building it."""
+    _check_nadir(tau, sigma)
     result = boundary_degrees(m, sigma)
     for smaller in _faces_between(tau, sigma):
         result = qe.difference(result, boundary_degrees(m, smaller))
@@ -227,10 +238,38 @@ def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
     return qe.condense(result)
 
 
-def socle(m: Downset | Interval, tau: Face, sigma: Face) -> SocleEntry:
-    """Socle along ``tau`` with nadir ``sigma``: degrees and their cosets."""
-    stratum = socle_stratum(m, tau, sigma)
-    degrees = max_along(stratum, tau)
+def socle(m: Downset | Upset | Interval, tau: Face, sigma: Face) -> SocleEntry:
+    """Socle along ``tau`` with nadir ``sigma``: degrees and their cosets.
+
+    The degrees are the ``tau``-maximal degrees of the nadir stratum
+    (:func:`socle_stratum`), taken straight from the boundaries: with
+    ``B = boundary_degrees(m, sigma)`` and ``D`` the downset part of ``m``,
+    they are ``max_along(B, tau)`` minus ``upper_boundary(D, sigma - j)``
+    for each ``j`` in ``sigma`` but not ``tau``, condensed once.  Proof:
+
+    * Each ``upper_boundary(D, f)`` is a downset, and so is their union
+      ``V``.  For any set ``B`` and downset ``V``,
+      ``max_along(B - V, tau) = max_along(B, tau) - V``: nothing above a
+      point outside ``V`` lies in ``V``, so such a point sees the same part
+      of ``B`` above it as of ``B - V``, and no point of ``V`` is in either.
+    * For an interval ``U ∩ D``, ``B ⊆ U + sigma° ⊆ U + (sigma - j)°``
+      (``U`` is an upset), so on ``B`` the boundary degrees atop
+      ``sigma - j``, ``upper_boundary(D, sigma - j) ∩ (U + (sigma - j)°)``,
+      are exactly ``upper_boundary(D, sigma - j)``.  For a downset the two
+      are equal outright.
+
+    So the stratum is ``B - V`` (:func:`_faces_between`), and ``max_along``
+    runs on the canonical, memoized boundary instead of the fragmented
+    stratum.
+    """
+    _check_nadir(tau, sigma)
+    d = m if isinstance(m, Downset) else as_interval(m).downset
+    degrees = max_along(boundary_degrees(m, sigma), tau)
+    for smaller in _faces_between(tau, sigma):
+        if not degrees.cells:
+            break
+        degrees = qe.difference(degrees, boundary_degrees(d, smaller))
+    degrees = qe.condense(degrees)
     cosets = qe.canonicalize(project_mod(degrees, tau))
     return SocleEntry(tau, sigma, degrees, cosets)
 

@@ -280,6 +280,8 @@ def test_error_exit_codes(capsys, tmp_path, triangle_path):
     assert run(["validate", str(bad)]) == 1
     # face out of range
     assert run(["socle", "--tau", "[9]", "--sigma", "[1]", triangle_path]) == 1
+    # a nadir that does not contain tau
+    assert run(["socle", "--tau", "[1]", "--sigma", "[]", triangle_path]) == 1
     # floats rejected
     floaty = tmp_path / "floaty.json"
     floaty.write_text('{"kind":"downset","set":{"dim":1,"cells":[{"ineqs":[{"a":[0.5],"b":1}]}]}}')

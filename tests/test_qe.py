@@ -848,6 +848,24 @@ def test_fm_matches_fraction_reference(case):
             _assert_canonical_row(h)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_fm_case))
+def test_fm_step_output_is_its_own_normalization(case):
+    # A step that combines no pair returns its rows without a normalizing
+    # pass; every step's output must still be the normalization of itself.
+    n, raw, twins, _, _ = case
+    raw += [([k * x for x in raw[i % len(raw)][0]], b, s) for i, k, b, s in twins]
+    rows = _normalize_constraints(HalfSpace(tuple(a), b, s) for a, b, s in raw)
+    assume(rows is not None)
+    for j in range(n):
+        for ray in (None, (1, False), (1, True), (-1, False), (-1, True)):
+            step = _fm_step(rows, j, ray)
+            if step is not None:
+                again = _normalize_constraints(step)
+                assert again is not None and len(again) == len(step)
+                assert set(again) == set(step), (rows, j, ray)
+
+
 def test_false_row_is_empty_without_fm_normalizing_its_input():
     # FM no longer normalizes its input, so the canonical false row, which
     # has no variable to eliminate, is caught by its callers.

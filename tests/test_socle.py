@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from staircase import (
     Downset,
+    FaceError,
     Upset,
     ValidationError,
     all_faces,
@@ -51,6 +53,7 @@ from staircase.geometry import (
     orthant_cell,
     project_mod,
     reflect_interval,
+    reflect_upset,
     upper_boundary,
 )
 from staircase.oracle import boundary_degrees_direct, boundary_probe_check, default_grid
@@ -58,6 +61,7 @@ from staircase.qe import condense, minkowski, reflect
 from staircase.socle import (
     boundary_degrees,
     min_along,
+    socle,
     top_direct,
     validate_socle_table,
 )
@@ -103,6 +107,40 @@ def test_max_along_needs_no_canonical_input(seed, n):
     messy = plset(n, *cut, *cut)
     for tau in all_faces(n):
         assert equals(max_along(messy, tau), max_along(s, tau)), tau
+
+
+def _axis_row(n, j, sign, offset, strict=False):
+    return hs([sign if i == j else 0 for i in range(n)], offset, strict)
+
+
+def _lemma_case(rng, n):
+    """A face ``tau``; a set ``B`` of 1-3 cells of random rows, each kept
+    in ``[-3, 3]`` off ``tau`` so that it has maximal degrees; and a downset
+    ``U``, a union of orthants ``x <= p`` whose corners ``p`` often cut
+    through them."""
+    half = lambda lo, hi: F(rng.randint(2 * lo, 2 * hi), 2)
+    tau = face(n, [j for j in range(n) if rng.random() < 0.4])
+    box = [_axis_row(n, j, -1, 3) for j in range(n)]
+    box += [_axis_row(n, j, 1, 3) for j in range(n) if j not in tau.coords]
+    b = plset(n, *(
+        cell(n, *box, *(hs([rng.randint(-2, 2) for _ in range(n)], half(-3, 3), rng.random() < 0.5)
+                        for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(1, 3))))
+    u = plset(n, *(
+        cell(n, *(_axis_row(n, j, 1, half(-1, 4), rng.random() < 0.5)
+                  for j in range(n) if rng.random() < 0.8))
+        for _ in range(rng.randint(1, 3))))
+    return tau, b, Downset(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3))
+def test_max_along_commutes_with_removing_a_downset(seed, n):
+    # the lemma socle() rests on: nothing above a point outside a downset U
+    # lies in U, so max_along(B minus U) = max_along(B) minus U
+    tau, b, u = _lemma_case(random.Random(seed), n)
+    assert equals(max_along(difference(b, u.carrier), tau),
+                  difference(max_along(b, tau), u.carrier))
 
 
 # --- strata ---------------------------------------------------------------------
@@ -327,6 +365,38 @@ def test_stratum_order_does_not_change_the_stratum(kind, seed, n, cells):
                 largest_first = _subtract_boundaries(boundary_degrees, m, sigma, between[::-1])
                 assert got == condense(largest_first), (tau, sigma)
                 assert equals(got, _subtract_boundaries(boundary_degrees, m, sigma, between))
+
+
+@pytest.mark.parametrize(
+    "kind, seed, n, cells",
+    [("downset", 7, 2, 8), ("downset", 10014, 3, 5), ("downset", 10, 4, 3), ("downset", 5, 4, 5),
+     ("mirrored-upset", 21003, 2, 4), ("mirrored-upset", 13, 3, 4),
+     ("interval", 22001, 2, 3), ("interval", 22010, 3, 3)],
+)
+def test_socle_degrees_are_the_maximal_stratum_degrees(kind, seed, n, cells):
+    # socle() never builds the nadir stratum; its degrees must be the
+    # tau-maximal degrees of the oracle's stratum all the same
+    if kind == "mirrored-upset":
+        m = reflect_upset(random_upset(seed, n, cells))
+    else:
+        m = {"downset": random_downset, "interval": random_interval}[kind](seed, n, cells)
+    for tau in all_faces(n):
+        for sigma in all_faces(n):
+            if tau.coords <= sigma.coords:
+                want = max_along(socle_stratum(m, tau, sigma), tau)
+                assert equals(socle(m, tau, sigma).degrees, want), (tau, sigma)
+
+
+def test_socle_rejects_a_nadir_without_tau_before_any_work(monkeypatch, triangle_quotient):
+    def no_work(*args):
+        raise AssertionError("socle did work before checking its faces")
+
+    for name in ("boundary_degrees", "max_along", "as_interval"):
+        monkeypatch.setattr(importlib.import_module("staircase.socle"), name, no_work)
+    with pytest.raises(FaceError):
+        socle(triangle_quotient, face(2, [1]), face(2))
+    with pytest.raises(FaceError):
+        socle(triangle_quotient, face(2, [0]), face(2, [1]))
 
 
 @pytest.mark.parametrize("seed, n, cells", [(872, 2, 5), (883, 2, 5), (16, 3, 3), (18, 3, 3)])
