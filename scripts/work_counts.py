@@ -7,7 +7,7 @@ of the n=4 instances ``random_downset(s, 4, 5)`` for s = 1-6 (seed 6 is
 the hard case), loaded from its instance JSON as the CLI does, it starts
 from cold engine caches, runs the primary decomposition, the irreducible
 family and ``reconstruct``, then checks the reconstruction against the
-carrier with ``qe.equals``.  It counts four kinds of work:
+carrier with ``qe.equals``.  It counts four kinds of work and one size:
 
 * ``cells``: ``qe.Cell`` objects built;
 * ``fm``: ``qe._eliminate_vars`` runs, the Fourier-Motzkin eliminations
@@ -15,13 +15,16 @@ carrier with ``qe.equals``.  It counts four kinds of work:
 * ``fm_pairs``: row pairs every ``qe._fm_step`` combines (lower times upper
   bounds on its variable), the size of the FM work, the steps with which
   ``qe.minkowski`` adds rays and lines included;
-* ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included.
+* ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included;
+* ``memo_entries_max``: the most entries one of the ``qe`` memo tables
+  (``qe._MEMOS``) holds during one instance's op, the footprint to weigh
+  against their bound ``qe._MEMO_LIMIT``.  It is a maximum, not a sum.
 
 The counts depend on the code alone, not on the machine or its load, so
 they show the cut of a change exactly where wall time is too noisy to.  The
 engine is wrapped from outside; no source file of it changes.  Counting
 starts after every instance is loaded, so the last line, the totals as
-JSON, is the sum of the printed rows.
+JSON, is the sum of the printed rows (the maximum, for ``memo_entries_max``).
 
 Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3|4]
 """
@@ -38,8 +41,9 @@ CORPUS = [(s, 2, 8) for s in range(100)] + [(s, 3, 5) for s in range(10_000, 10_
 N4 = [(s, 4, 5) for s in range(1, 7)]
 
 
-def install(counts: dict) -> None:
-    """Count calls of the wrapped functions in ``counts``."""
+def install(counts: dict, peak: list) -> None:
+    """Count calls of the wrapped functions in ``counts``; keep the largest
+    memo table size in ``peak[0]``."""
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -63,6 +67,15 @@ def install(counts: dict) -> None:
     qe._fm_step = counted_step
     # every other module calls it through ``qe`` except svg, which is not run here
     qe.is_empty_cell = counting("is_empty_cell", qe.is_empty_cell)
+    remember = qe._remember
+
+    @functools.wraps(remember)
+    def measured(memo, key, value):
+        value = remember(memo, key, value)
+        peak[0] = max(peak[0], len(memo))
+        return value
+
+    qe._remember = measured
 
 
 def main(argv=None) -> int:
@@ -74,22 +87,26 @@ def main(argv=None) -> int:
     instances = [instance_from_json(instance_to_json(random_downset(s, n, b)))
                  for s, n, b in corpus]
     counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell"), 0)
-    install(counts)
+    peak = [0]
+    install(counts, peak)
     per_n: dict[int, dict] = {}
     for (_, n, _), d in zip(corpus, instances):
         qe.clear_caches()
+        peak[0] = 0
         before = dict(counts)
         pd = primary_decomposition(d)
         recon = reconstruct(irreducible_family(d, table=pd.table), d)
         if not qe.equals(recon, d.carrier):
             print(f"reconstruction differs from the carrier at n={n}", file=sys.stderr)
             return 1
-        row = per_n.setdefault(n, dict.fromkeys(counts, 0))
+        row = per_n.setdefault(n, dict.fromkeys((*counts, "memo_entries_max"), 0))
         for key in counts:
             row[key] += counts[key] - before[key]
+        row["memo_entries_max"] = max(row["memo_entries_max"], peak[0])
     for n, row in sorted(per_n.items()):
         print(f"n={n}: " + "  ".join(f"{key} {value:,}" for key, value in row.items()))
-    print(json.dumps({"instances": len(corpus), **counts}))
+    memo_max = max(row["memo_entries_max"] for row in per_n.values())
+    print(json.dumps({"instances": len(corpus), **counts, "memo_entries_max": memo_max}))
     return 0
 
 

@@ -11,6 +11,7 @@ Faces are 0-based internally; the JSON layer renders them 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,9 +139,11 @@ _AXIS_CONDITIONS = {
 }
 
 
-def _axis_cell(conditions: list[str]) -> Cell:
+@functools.cache
+def _axis_cell(conditions: tuple[str, ...]) -> Cell:
     """The cell cut out by one condition per axis, each comparing ``x_i``
-    with 0: ``">"``, ``">="``, ``"="``, ``"<="`` or ``"free"``."""
+    with 0: ``">"``, ``">="``, ``"="``, ``"<="`` or ``"free"``.  Built once
+    per condition tuple: at most 5^n constants, which hold no result."""
     n = len(conditions)
     cons = []
     for i, condition in enumerate(conditions):
@@ -152,7 +155,7 @@ def _axis_cell(conditions: list[str]) -> Cell:
 
 def face_interior(sigma: Face) -> Cell:
     """Relative interior: ``x_i > 0`` on the face, ``x_j = 0`` off it."""
-    return _axis_cell([">" if i in sigma.coords else "=" for i in range(sigma.dim)])
+    return _axis_cell(tuple(">" if i in sigma.coords else "=" for i in range(sigma.dim)))
 
 
 def cone_of_shape(nabla: Shape) -> PLSet:
@@ -165,21 +168,21 @@ def cone_of_shape(nabla: Shape) -> PLSet:
 def upset_cone_cell(sigma: Face) -> Cell:
     """``sigma-interior + R^n_+`` as a single cell: ``x_i > 0`` on the face,
     ``x_j >= 0`` off it."""
-    return _axis_cell([">" if i in sigma.coords else ">=" for i in range(sigma.dim)])
+    return _axis_cell(tuple(">" if i in sigma.coords else ">=" for i in range(sigma.dim)))
 
 
 def orthant_cell(dim: int, negative: bool = False) -> Cell:
-    return _axis_cell(["<=" if negative else ">="] * dim)
+    return _axis_cell(("<=" if negative else ">=",) * dim)
 
 
 def line_cell(tau: Face) -> Cell:
     """The linear span ``R tau``: coordinates off the face pinned to zero."""
-    return _axis_cell(["free" if j in tau.coords else "=" for j in range(tau.dim)])
+    return _axis_cell(tuple("free" if j in tau.coords else "=" for j in range(tau.dim)))
 
 
 def cone_cell(tau: Face) -> Cell:
     """The face ``tau`` as a closed cone: ``x_i >= 0`` on it, ``0`` off it."""
-    return _axis_cell([">=" if i in tau.coords else "=" for i in range(tau.dim)])
+    return _axis_cell(tuple(">=" if i in tau.coords else "=" for i in range(tau.dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,49 @@ def _eliminate_vars(constraints: Sequence[HalfSpace],
 _empty_cache: dict[tuple, bool] = {}
 _EMPTY_CACHE_LIMIT = 300_000
 
+# Memos of the pure cell-level work that repeats within one op, keyed on
+# ``Cell.key()``: the split of a piece by a subtrahend cell in
+# :func:`_subtract_cells`, :func:`_cell_subset_of_cell`,
+# :func:`_drop_redundant_constraints`, and the sum of a cell with one axis
+# cone in :func:`minkowski`.  A table that reaches ``_MEMO_LIMIT`` entries is
+# cleared wholesale, as the emptiness cache is.  Unbounded, one op fills a
+# table to at most 1,267 entries on the decompose corpus and 4,119 on the
+# n=4 instances ``random_downset(s, 4, 5)``, s = 1-6, but the benchmark's
+# membership set-up builds the boundaries of 125 instances with no clear in
+# between.  Measured on a 2-vCPU machine at bounds 256, 512 and 1,024,
+# against no memos: the decompose corpus (summed per-op minimum) in
+# 1.00-1.07 s, 0.98-1.01 s and 0.96-1.02 s, against 1.30 s; the n=4
+# instances in 0.76 s, 0.56 s and 0.55 s, against 1.08 s; the membership
+# benchmark's peak RSS 27.7-27.8 MB, 27.8-28.1 MB and 28.4-29.1 MB, against
+# 27.5-27.6 MB.
+_split_memo: dict[tuple, tuple[Cell, ...]] = {}
+_subset_memo: dict[tuple, bool] = {}
+_reduced_memo: dict[tuple, Cell] = {}
+_cone_sum_memo: dict[tuple, tuple[Cell, ...]] = {}
+_MEMOS = (_split_memo, _subset_memo, _reduced_memo, _cone_sum_memo)
+_MEMO_LIMIT = 512
+
+
+def _remember(memo: dict, key: tuple, value):
+    """Store ``value`` under ``key``, clearing ``memo`` first if it is full."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
 
 def clear_caches() -> None:
+    """Empty every engine table: the emptiness cache ``_empty_cache`` (cell
+    key to bool) and the memos ``_split_memo`` (piece and subtrahend cell
+    keys to the pieces left), ``_subset_memo`` (two cell keys to whether the
+    first lies in the second), ``_reduced_memo`` (cell key to the cell
+    without redundant rows) and ``_cone_sum_memo`` (cell and axis cone keys
+    to their sum, one cell or none).  Every read of them is one ``.get``, so
+    a concurrent clear never makes one fail.  The axis cells of
+    ``geometry._axis_cell`` are constants and stay."""
     _empty_cache.clear()
+    for memo in _MEMOS:
+        memo.clear()
 
 
 def is_empty_cell(c: Cell) -> bool:
@@ -399,10 +439,14 @@ def _cell_subset_of_cell(a: Cell, b: Cell) -> bool:
     """True iff ``a`` lies in ``b``.  ``a`` must be nonempty, as cells out of
     :func:`_light_cleanup` are: then a row of ``b`` that ``a`` excludes makes
     it False, and the rows of ``b`` that ``a`` implies need no FM check."""
-    if any(a.excludes(h) for h in b.constraints):
-        return False
-    return all(a.implies(h) or is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
-               for h in b.constraints)
+    key = (a.key(), b.key())
+    hit = _subset_memo.get(key)
+    if hit is not None:
+        return hit
+    inside = not any(a.excludes(h) for h in b.constraints) and all(
+        a.implies(h) or is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
+        for h in b.constraints)
+    return _remember(_subset_memo, key, inside)
 
 
 def _drop_redundant_constraints(c: Cell) -> Cell:
@@ -410,6 +454,10 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
 
     A row not implied by a set of rows is not implied by any subset of it,
     so a row kept once never needs checking again."""
+    key = c.key()
+    hit = _reduced_memo.get(key)
+    if hit is not None:
+        return hit
     cons = c.constraints
     i = 0
     while i < len(cons):
@@ -418,7 +466,7 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
             cons = others
         else:
             i += 1
-    return c if cons is c.constraints else Cell(c.dim, cons)
+    return _remember(_reduced_memo, key, c if cons is c.constraints else Cell(c.dim, cons))
 
 
 def canonicalize(s: PLSet) -> PLSet:
@@ -479,28 +527,37 @@ def intersect(s: PLSet, t: PLSet) -> PLSet:
     return PLSet(dim, _light_cleanup(out))
 
 
+def _split(dim: int, p: Cell, b: Cell) -> tuple[Cell, ...]:
+    """Cells covering ``p \\ b``.  The rows of ``b`` that ``p`` does not imply
+    cut it; with none, ``p`` lies in ``b`` and nothing is left.  A piece that
+    ``b`` misses (seen from a cut row ``p`` excludes, or by FM) is left
+    unchanged; otherwise ``p \\ b`` is covered by the cells ``p and not-h``
+    for the rows ``h`` of the cut."""
+    cut = [h for h in b.constraints if not p.implies(h)]
+    if not cut:
+        return ()
+    if any(p.excludes(h) for h in cut) or is_empty_cell(Cell(dim, p.constraints + tuple(cut))):
+        return (p,)
+    return tuple(Cell(dim, p.constraints + (h.negated(),)) for h in cut)
+
+
 def _subtract_cells(
     dim: int, pieces: list[Cell], cells_: Sequence[Cell], where: str
 ) -> list[Cell]:
     """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty.
 
-    The rows of ``b`` a piece ``p`` does not imply cut it; with none, ``p``
-    lies in ``b`` and is dropped.  A piece that ``b`` misses (seen from a cut
-    row ``p`` excludes, or by FM) passes unchanged; otherwise ``p \\ b`` is
-    covered by the cells ``p and not-h`` for the rows ``h`` of the cut.  The
-    budget counts the pieces passed on and these candidates before the
-    cleanup drops the empty ones."""
+    Each piece ``p`` is split by each cell ``b`` (:func:`_split`, memoized on
+    the keys of ``p`` and ``b``).  The budget counts the pieces passed on and
+    the candidates of the splits before the cleanup drops the empty ones."""
     for b in cells_:
+        bkey = b.key()
         nxt: list[Cell] = []
         for p in pieces:
-            cut = [h for h in b.constraints if not p.implies(h)]
-            if not cut:
-                continue
-            if (any(p.excludes(h) for h in cut)
-                    or is_empty_cell(Cell(dim, p.constraints + tuple(cut)))):
-                nxt.append(p)
-            else:
-                nxt.extend(Cell(dim, p.constraints + (h.negated(),)) for h in cut)
+            key = (p.key(), bkey)
+            split = _split_memo.get(key)
+            if split is None:
+                split = _remember(_split_memo, key, _split(dim, p, b))
+            nxt.extend(split)
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(nxt))
         if not pieces:
@@ -637,18 +694,29 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
     raises :class:`StaircaseError`, and an empty one adds nothing."""
     if k.dim != s.dim:
         raise DimensionMismatch(f"minkowski of dimensions {s.dim} and {k.dim}")
-    cones = [c for c in map(_cone_steps, (k,) if isinstance(k, Cell) else k.cells) if c is not None]
+    cones = [(b.key(), steps) for b in ((k,) if isinstance(k, Cell) else k.cells)
+             if (steps := _cone_steps(b)) is not None]
     out: list[Cell] = []
     for a in s.cells:
-        for steps in cones:
-            rows = a.constraints
-            for j, ray in steps:
-                rows = _fm_step(rows, j, ray)
-                if rows is None:
-                    break
-            else:
-                out.append(Cell(s.dim, rows))
+        akey = a.key()
+        for bkey, steps in cones:
+            key = (akey, bkey)
+            summed = _cone_sum_memo.get(key)
+            if summed is None:
+                summed = _remember(_cone_sum_memo, key, _add_cone(a, steps))
+            out.extend(summed)
     return PLSet(s.dim, _light_cleanup(out))
+
+
+def _add_cone(a: Cell, steps: list[tuple[int, tuple[int, bool] | None]]) -> tuple[Cell, ...]:
+    """The sum of ``a`` and the axis cone of ``steps`` (:func:`_cone_steps`):
+    one cell, or none when FM finds it empty."""
+    rows = a.constraints
+    for j, ray in steps:
+        rows = _fm_step(rows, j, ray)
+        if rows is None:
+            return ()
+    return (Cell(a.dim, rows),)
 
 
 def directional_limit_member(s: PLSet, a: Iterable[Rat], v: Iterable[Rat]) -> bool:

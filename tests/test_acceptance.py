@@ -320,9 +320,10 @@ def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
     # unless canonicalize absorbs cells contained in others at every size.
     # Its FM work is pinned by the row pairs the steps combine from cold
-    # caches: 25,484 (23,841 with the escape set of socle.max_along
-    # condensed); 120,906 when socle degrees came from the nadir strata, and
-    # 72,700 with FM in ascending index order instead of the greedy one.
+    # caches: 25,443 with the qe memos, 25,484 without (23,841 with the
+    # escape set of socle.max_along condensed); 120,906 when socle degrees
+    # came from the nadir strata, and 72,700 with FM in ascending index
+    # order instead of the greedy one.
     pairs = [0]
     fm_step = qe._fm_step
 

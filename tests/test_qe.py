@@ -36,6 +36,7 @@ from staircase import (
     universe,
     witness,
 )
+from staircase import qe
 from staircase.qe import (
     HalfSpace,
     _eliminate_vars,
@@ -318,7 +319,7 @@ def test_minkowski_with_plset_summand():
 def _random_axis_cone(rng, n):
     """A product along the axes of points, rays (open or closed, either way)
     and lines: the summands :func:`minkowski` accepts."""
-    cone = _axis_cell([rng.choice(sorted(_AXIS_CONDITIONS)) for _ in range(n)])
+    cone = _axis_cell(tuple(rng.choice(sorted(_AXIS_CONDITIONS)) for _ in range(n)))
     return cone.reflected() if rng.random() < 0.5 else cone
 
 
@@ -675,6 +676,103 @@ def test_difference_matches_reference_sweep(seed, n):
     assert (w is None) == is_empty(expected)
     if w is not None:
         assert s.contains(w) and not t.contains(w)
+
+
+# --- memo tables -----------------------------------------------------------------
+
+
+def _reordered(rng, s):
+    """``s`` with each cell's rows in another order: the same cell keys."""
+    return PLSet(s.dim, tuple(Cell(s.dim, tuple(rng.sample(c.constraints, len(c.constraints))))
+                              for c in s.cells))
+
+
+def _memoized_calls(s, t, k):
+    return (
+        ("difference", lambda: difference(s, t)),
+        ("is_subset", lambda: is_subset(s, t)),
+        ("canonicalize", lambda: canonicalize(union(s, t))),
+        ("minkowski", lambda: minkowski(s, k)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_memoized_operations_match_cold_runs(seed, n):
+    # A random sequence over the sets and their reordered twins fills the
+    # memo tables; each call from those warm tables must give what the same
+    # call gives from cold ones.
+    rng = random.Random(seed)
+    sets = [_seeded_plset(rng, n) for _ in range(3)]
+    sets += [_reordered(rng, s) for s in sets]
+    cones = [PLSet(n, tuple(_random_axis_cone(rng, n) for _ in range(rng.randint(1, 2))))
+             for _ in range(3)]
+    triples = [(rng.choice(sets), rng.choice(sets), rng.choice(cones)) for _ in range(10)]
+    clear_caches()
+    for s, t, k in triples:
+        for _, call in _memoized_calls(s, t, k):
+            call()
+    warm = [(name, call, call()) for s, t, k in rng.sample(triples, 4)
+            for name, call in _memoized_calls(s, t, k)]
+    for name, call, got in warm:
+        clear_caches()
+        cold = call()
+        if name == "is_subset":
+            assert got == cold
+        else:
+            assert equals(got, cold), name
+
+
+def _engine_tables():
+    """Every module-level dict of ``qe``: the emptiness cache and the memos."""
+    return {name: table for name, table in vars(qe).items()
+            if isinstance(table, dict) and not name.startswith("__")}
+
+
+def test_clear_caches_empties_every_engine_table():
+    from staircase import primary_decomposition, random_downset
+
+    assert set(_engine_tables()) == {"_empty_cache", "_split_memo", "_subset_memo",
+                                     "_reduced_memo", "_cone_sum_memo"}
+    primary_decomposition(random_downset(10014, 3, 5))
+    assert all(_engine_tables().values())
+    clear_caches()
+    assert not any(_engine_tables().values())
+
+
+def test_memo_tables_never_exceed_their_bound(monkeypatch):
+    from staircase import irreducible_family, primary_decomposition, random_downset, reconstruct
+
+    for memo in qe._MEMOS:
+        for i in range(qe._MEMO_LIMIT + 10):
+            qe._remember(memo, ("key", i), i)
+            assert len(memo) <= qe._MEMO_LIMIT
+    # a small bound, cleared wholesale over and over, changes no answer
+    clear_caches()
+    monkeypatch.setattr(qe, "_MEMO_LIMIT", 16)
+    sizes = []
+    remember = qe._remember
+
+    def measured(memo, key, value):
+        value = remember(memo, key, value)
+        sizes.append(len(memo))
+        return value
+
+    monkeypatch.setattr(qe, "_remember", measured)
+    d = random_downset(10014, 3, 5)
+    pd = primary_decomposition(d)
+    assert equals(reconstruct(irreducible_family(d, table=pd.table), d), d.carrier)
+    assert max(sizes) == 16
+    clear_caches()
+
+
+def test_axis_cells_are_built_once_per_condition_tuple():
+    for n in range(1, 4):
+        assert orthant_cell(n) is orthant_cell(n)
+        for f in all_faces(n):
+            assert cone_cell(f) is cone_cell(f)
+            assert face_interior(f) is _axis_cell(tuple(">" if i in f.coords else "="
+                                                         for i in range(n)))
 
 
 # --- parallel rows decided without FM ------------------------------------------
