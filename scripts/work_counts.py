@@ -9,12 +9,16 @@ from cold engine caches, runs the primary decomposition, the irreducible
 family and ``reconstruct``, then checks the reconstruction against the
 carrier with ``qe.equals``.  It counts four kinds of work and one size:
 
-* ``cells``: ``qe.Cell`` objects built;
-* ``fm``: ``qe._eliminate_vars`` runs, the Fourier-Motzkin eliminations
-  of emptiness checks and ``qe.exists`` only;
-* ``fm_pairs``: row pairs every ``qe._fm_step`` combines (lower times upper
-  bounds on its variable), the size of the FM work, the steps with which
-  ``qe.minkowski`` adds rays and lines included;
+* ``cells``: ``qe.Cell`` objects built, by the constructor or by
+  ``qe.Cell.extended``;
+* ``fm``: Fourier-Motzkin eliminations: the emptiness decisions
+  ``qe._rows_empty`` of ``qe.is_empty_cell`` cache misses and the
+  ``qe._eliminate_vars`` runs of ``qe.exists``;
+* ``fm_pairs``: row pairs every FM step partitions out (lower times upper
+  bounds on its variable, counted at ``qe._partition``), the size of the FM
+  work: the steps with which ``qe.minkowski`` adds rays and lines included,
+  the last step of an emptiness decision, a comparison of two bounds,
+  not;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included;
 * ``memo_entries_max``: the most entries one of the ``qe`` memo tables
   (``qe._MEMOS``) holds during one instance's op, the footprint to weigh
@@ -54,17 +58,18 @@ def install(counts: dict, peak: list) -> None:
         return wrapper
 
     qe.Cell.__post_init__ = counting("cells", qe.Cell.__post_init__)
+    qe.Cell.extended = counting("cells", qe.Cell.extended)
     qe._eliminate_vars = counting("fm", qe._eliminate_vars)
-    fm_step = qe._fm_step
+    qe._rows_empty = counting("fm", qe._rows_empty)
+    partition = qe._partition
 
-    @functools.wraps(fm_step)
-    def counted_step(constraints, j, ray=None):
-        ups = sum(1 for h in constraints if h.normal[j] > 0)
-        lows = sum(1 for h in constraints if h.normal[j] < 0)
-        counts["fm_pairs"] += lows * ups
-        return fm_step(constraints, j, ray)
+    @functools.wraps(partition)
+    def counted_partition(constraints, j):
+        lows, ups, rest = partition(constraints, j)
+        counts["fm_pairs"] += len(lows) * len(ups)
+        return lows, ups, rest
 
-    qe._fm_step = counted_step
+    qe._partition = counted_partition
     # every other module calls it through ``qe`` except svg, which is not run here
     qe.is_empty_cell = counting("is_empty_cell", qe.is_empty_cell)
     remember = qe._remember

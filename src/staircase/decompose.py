@@ -45,7 +45,7 @@ def coprincipal(a: PLSet, tau: Face, sigma: Face) -> Downset:
     memo = a.__dict__.setdefault("_coprincipal", {})
     if (tau, sigma) not in memo:
         swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
-        hang = upset_cone_cell(sigma).reflected()
+        hang = upset_cone_cell(sigma, negative=True)
         memo[(tau, sigma)] = Downset(qe.minkowski(swept, hang))
     return memo[(tau, sigma)]
 

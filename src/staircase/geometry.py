@@ -135,6 +135,7 @@ _AXIS_CONDITIONS = {
     ">=": ((-1, False),),
     "=": ((1, False), (-1, False)),
     "<=": ((1, False),),
+    "<": ((1, True),),
     "free": (),
 }
 
@@ -142,8 +143,9 @@ _AXIS_CONDITIONS = {
 @functools.cache
 def _axis_cell(conditions: tuple[str, ...]) -> Cell:
     """The cell cut out by one condition per axis, each comparing ``x_i``
-    with 0: ``">"``, ``">="``, ``"="``, ``"<="`` or ``"free"``.  Built once
-    per condition tuple: at most 5^n constants, which hold no result."""
+    with 0: ``">"``, ``">="``, ``"="``, ``"<="``, ``"<"`` or ``"free"``.
+    Built once per condition tuple: at most 6^n constants, which hold no
+    result."""
     n = len(conditions)
     cons = []
     for i, condition in enumerate(conditions):
@@ -153,9 +155,11 @@ def _axis_cell(conditions: tuple[str, ...]) -> Cell:
     return Cell(n, tuple(cons))
 
 
-def face_interior(sigma: Face) -> Cell:
-    """Relative interior: ``x_i > 0`` on the face, ``x_j = 0`` off it."""
-    return _axis_cell(tuple(">" if i in sigma.coords else "=" for i in range(sigma.dim)))
+def face_interior(sigma: Face, negative: bool = False) -> Cell:
+    """Relative interior: ``x_i > 0`` on the face, ``x_j = 0`` off it; its
+    reflection (``x_i < 0`` on the face) when ``negative``."""
+    on = "<" if negative else ">"
+    return _axis_cell(tuple(on if i in sigma.coords else "=" for i in range(sigma.dim)))
 
 
 def cone_of_shape(nabla: Shape) -> PLSet:
@@ -165,10 +169,11 @@ def cone_of_shape(nabla: Shape) -> PLSet:
     )
 
 
-def upset_cone_cell(sigma: Face) -> Cell:
+def upset_cone_cell(sigma: Face, negative: bool = False) -> Cell:
     """``sigma-interior + R^n_+`` as a single cell: ``x_i > 0`` on the face,
-    ``x_j >= 0`` off it."""
-    return _axis_cell(tuple(">" if i in sigma.coords else ">=" for i in range(sigma.dim)))
+    ``x_j >= 0`` off it; its reflection when ``negative``."""
+    on, off = ("<", "<=") if negative else (">", ">=")
+    return _axis_cell(tuple(on if i in sigma.coords else off for i in range(sigma.dim)))
 
 
 def orthant_cell(dim: int, negative: bool = False) -> Cell:
@@ -180,9 +185,11 @@ def line_cell(tau: Face) -> Cell:
     return _axis_cell(tuple("free" if j in tau.coords else "=" for j in range(tau.dim)))
 
 
-def cone_cell(tau: Face) -> Cell:
-    """The face ``tau`` as a closed cone: ``x_i >= 0`` on it, ``0`` off it."""
-    return _axis_cell(tuple(">=" if i in tau.coords else "=" for i in range(tau.dim)))
+def cone_cell(tau: Face, negative: bool = False) -> Cell:
+    """The face ``tau`` as a closed cone: ``x_i >= 0`` on it, ``0`` off it;
+    its reflection when ``negative``."""
+    on = "<=" if negative else ">="
+    return _axis_cell(tuple(on if i in tau.coords else "=" for i in range(tau.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def localize(d: Downset, tau: Face) -> Downset:
         raise DimensionMismatch("face dimension mismatch")
     if not tau.coords:
         return d
-    bad = qe.minkowski(qe.complement(d.carrier), cone_cell(tau).reflected())
+    bad = qe.minkowski(qe.complement(d.carrier), cone_cell(tau, negative=True))
     loc = Downset(qe.complement(bad))
     if not qe.equals(loc.carrier, qe.minkowski(loc.carrier, line_cell(tau))):
         raise InternalCheckFailure("localization is not R*tau invariant")
@@ -431,5 +438,5 @@ def lower_boundary_direct(u: Upset, xi: Face) -> Upset:
         raise DimensionMismatch("face dimension mismatch")
     if not xi.coords:
         return u
-    bad = qe.minkowski(qe.complement(u.carrier), face_interior(xi).reflected())
+    bad = qe.minkowski(qe.complement(u.carrier), face_interior(xi, negative=True))
     return Upset(qe.complement(bad))

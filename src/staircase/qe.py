@@ -54,12 +54,18 @@ def halfspace(normal: Iterable[Rat], offset: Rat, strict: bool = False) -> HalfS
     return HalfSpace(tuple(normal), offset, strict)
 
 
-def _normalize_constraints(constraints: Iterable[HalfSpace]) -> tuple[HalfSpace, ...] | None:
+def _normalize_constraints(
+    constraints: Iterable[HalfSpace], by_normal: dict[tuple[int, ...], HalfSpace] | None = None
+) -> tuple[HalfSpace, ...] | None:
     """Drop trivial constraints, dedup, keep the tightest of parallel bounds.
 
     Returns ``None`` when a constant contradiction makes the cell empty.
+    With ``by_normal``, normalized rows without the false row indexed by
+    normal, the result is those rows followed by ``constraints``, normalized
+    into that dict.
     """
-    by_normal: dict[tuple[int, ...], HalfSpace] = {}
+    if by_normal is None:
+        by_normal = {}
     for h in constraints:
         if not any(h.normal):
             if not h.constant_truth():
@@ -78,6 +84,11 @@ def _normalize_constraints(constraints: Iterable[HalfSpace]) -> tuple[HalfSpace,
 
 # ---------------------------------------------------------------------------
 # Cells
+
+
+def _false_row(dim: int) -> HalfSpace:
+    """The canonical false row ``0 <= -1``, the one row of an empty-by-constants cell."""
+    return int_row((0,) * dim, -1, 1, False)
 
 
 @dataclass(frozen=True)
@@ -101,9 +112,7 @@ class Cell:
                     f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
                 )
         norm = _normalize_constraints(rows)
-        if norm is None:
-            norm = (int_row((0,) * self.dim, -1, 1, False),)
-        object.__setattr__(self, "constraints", norm)
+        object.__setattr__(self, "constraints", (_false_row(self.dim),) if norm is None else norm)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dim:
@@ -131,6 +140,35 @@ class Cell:
             object.__setattr__(self, "_rows", {h.normal: h for h in self.constraints})
         return self.__dict__["_rows"].get(normal)
 
+    def extended(self, extra: Sequence[HalfSpace], omit: Iterable[HalfSpace] = ()) -> "Cell":
+        """``Cell(self.dim, rows + extra)``, with ``rows`` this cell's rows
+        without those in ``omit``: the same ``constraints`` in the same order.
+
+        Only the rows of ``extra`` are checked and normalized, by
+        :func:`_normalize_constraints` into a copy of the row index
+        (:meth:`_row`), which becomes the new cell's index.  The query cells
+        of the difference sweep, the absorb and the redundant-row pass are
+        built here: each adds a row or a few to a cell of a few rows."""
+        for h in extra:
+            if len(h.normal) != self.dim:
+                raise DimensionMismatch(
+                    f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
+                )
+        rows = self.__dict__.get("_rows")
+        rows = {h.normal: h for h in self.constraints} if rows is None else dict(rows)
+        for h in omit:
+            del rows[h.normal]
+        out = object.__new__(Cell)
+        if len(rows) == 1 and not any(next(iter(rows))):  # the false cell's row
+            norm = None
+        else:
+            norm = _normalize_constraints(extra, rows)
+        if norm is None:
+            out.__dict__.update(dim=self.dim, constraints=(_false_row(self.dim),))
+        else:
+            out.__dict__.update(dim=self.dim, constraints=norm, _rows=rows)
+        return out
+
     def implies(self, h: HalfSpace) -> bool:
         """True when the row parallel to ``h`` is at least as tight (a smaller
         offset, or equal and strict if ``h`` is), so ``self and not h`` is empty."""
@@ -151,6 +189,28 @@ def cell(dim: int, *constraints: HalfSpace) -> Cell:
 # Fourier-Motzkin --------------------------------------------------------
 
 
+def _partition(
+    constraints: Sequence[HalfSpace], j: int
+) -> tuple[list[HalfSpace], list[HalfSpace], list[HalfSpace]]:
+    """The rows with a negative, a positive and a zero ``x_j`` coefficient:
+    the lower bounds, the upper bounds and the rest, for one Fourier-Motzkin
+    step on ``x_j``.  The step's size, its rows plus the ``lows * ups``
+    pairs it combines, is checked against the cell limit first."""
+    lows: list[HalfSpace] = []
+    ups: list[HalfSpace] = []
+    rest: list[HalfSpace] = []
+    for h in constraints:
+        c = h.normal[j]
+        if c > 0:
+            ups.append(h)
+        elif c < 0:
+            lows.append(h)
+        else:
+            rest.append(h)
+    _check_budget(len(constraints) + len(lows) * len(ups), "Fourier-Motzkin step")
+    return lows, ups, rest
+
+
 def _fm_step(
     constraints: Sequence[HalfSpace], j: int, ray: tuple[int, bool] | None = None
 ) -> tuple[HalfSpace, ...] | None:
@@ -166,19 +226,7 @@ def _fm_step(
     row, so its output is normalized as it stands and is returned without
     a normalizing pass; a lone false row then stays, for the caller's cell
     to catch."""
-    lows: list[HalfSpace] = []
-    ups: list[HalfSpace] = []
-    rest: list[HalfSpace] = []
-    for h in constraints:
-        c = h.normal[j]
-        if c > 0:
-            ups.append(h)
-        elif c < 0:
-            lows.append(h)
-        else:
-            rest.append(h)
-    _check_budget(len(constraints) + len(lows) * len(ups), "Fourier-Motzkin step")
-    out = rest
+    lows, ups, out = _partition(constraints, j)
     if ray is not None:
         sign, strict = ray
         kept = lows if sign > 0 else ups
@@ -196,42 +244,109 @@ def _fm_step(
     return _normalize_constraints(out)
 
 
+def _choose_var(constraints: Sequence[HalfSpace], remaining: set[int]) -> int:
+    """The variable of ``remaining`` whose FM step adds the fewest rows,
+    ``lo * up - lo - up`` (ties to the first in ``remaining``'s order).
+
+    In ascending index order (as :func:`witness_cell` eliminates) the counts
+    of ``scripts/work_counts.py`` stay the same, but the steps combine
+    50,353 row pairs instead of 40,353 on the decompose corpus and 79,106
+    instead of 29,596 on ``random_downset(s, 4, 5)``, s = 1-6 (counted at
+    every step, before emptiness decided its last step without one)."""
+    best_j, best_cost = -1, None
+    for j in remaining:
+        lo = up = 0
+        for h in constraints:
+            c = h.normal[j]
+            if c < 0:
+                lo += 1
+            elif c > 0:
+                up += 1
+        cost = lo * up - lo - up
+        if best_cost is None or cost < best_cost:
+            best_j, best_cost = j, cost
+    return best_j
+
+
 def _eliminate_vars(constraints: Sequence[HalfSpace],
                     idxs: Iterable[int]) -> tuple[HalfSpace, ...] | None:
     """Existentially project out all variables in ``idxs``.  ``None`` = empty.
 
-    Each step eliminates the variable whose step adds the fewest rows
-    (``lo * up - lo - up``).  In ascending index order (as :func:`witness_cell`
-    eliminates) the counts of ``scripts/work_counts.py`` stay the same, but
-    the steps combine 50,353 row pairs instead of 40,353 on the decompose
-    corpus and 79,106 instead of 29,596 on ``random_downset(s, 4, 5)``,
-    s = 1-6.  The rows must come normalized, as a cell's rows do; each FM
-    step leaves its output normalized."""
+    Each step eliminates the variable :func:`_choose_var` picks.  The rows
+    must come normalized, as a cell's rows do; each FM step leaves its
+    output normalized.  ``_eliminate_vars(rows, used) is None`` is the
+    reference that :func:`_rows_empty` is tested against."""
     current = constraints
     remaining = set(idxs)
     while remaining:
-        # Pick the variable minimizing the number of new combinations; one
-        # pass over the rows counts the bounds on every remaining variable.
-        lows = dict.fromkeys(remaining, 0)
-        ups = dict.fromkeys(remaining, 0)
-        for h in current:
-            normal = h.normal
-            for j in remaining:
-                if normal[j] < 0:
-                    lows[j] += 1
-                elif normal[j] > 0:
-                    ups[j] += 1
-        best_j, best_cost = -1, None
-        for j in remaining:
-            lo, up = lows[j], ups[j]
-            cost = lo * up - lo - up
-            if best_cost is None or cost < best_cost:
-                best_j, best_cost = j, cost
+        best_j = _choose_var(current, remaining)
         remaining.discard(best_j)
         current = _fm_step(current, best_j)
         if current is None:
             return None
     return current
+
+
+def _rows_empty(constraints: Sequence[HalfSpace], used: set[int]) -> bool:
+    """``_eliminate_vars(constraints, used) is None`` for normalized rows
+    whose variables are ``used`` (nonempty), deciding without building the
+    last two steps' rows.
+
+    It eliminates variables as :func:`_eliminate_vars` does, by the same
+    :func:`_choose_var` and the same budgeted :func:`_partition`, down to
+    two.  Of those, the chosen ``x_j`` is eliminated by combining each
+    lower/upper pair straight into a bound ``c * x_k {<,<=} num/den`` on
+    the last variable ``x_k``; a pair with ``c = 0`` is a constant row,
+    decided on the spot.  The rows left that bound ``x_k`` are then
+    compared, the largest lower bound with the smallest upper one,
+    cross-multiplied, a strict bound winning ties: exactly the last FM step
+    on the tightest pair, which is what the parallel-row dedup keeps."""
+    remaining = set(used)
+    while len(remaining) > 2:
+        j = _choose_var(constraints, remaining)
+        remaining.discard(j)
+        constraints = _fm_step(constraints, j)
+        if constraints is None:
+            return True
+    if len(remaining) == 2:
+        j = _choose_var(constraints, remaining)
+        remaining.discard(j)
+        (k,) = remaining
+        lows, ups, rest = _partition(constraints, j)
+        bounds = [(h[0][k], h[1], h[2], h[3]) for h in rest]
+        for lo_normal, lo_num, lo_den, lo_strict in lows:
+            a = -lo_normal[j]
+            lo_k = lo_normal[k]
+            for up_normal, up_num, up_den, up_strict in ups:
+                b = up_normal[j]
+                c = b * lo_k + a * up_normal[k]
+                num = b * lo_num * up_den + a * up_num * lo_den
+                strict = lo_strict or up_strict
+                if c:
+                    bounds.append((c, num, lo_den * up_den, strict))
+                elif num < 0 or (num == 0 and strict):  # a false constant row
+                    return True
+    else:
+        (k,) = remaining
+        bounds = [(h[0][k], h[1], h[2], h[3]) for h in constraints]
+    # x_k >= lo_p/lo_q and x_k <= up_p/up_q, with lo_q, up_q > 0
+    lo_p = lo_q = up_p = up_q = 0
+    lo_strict = up_strict = False
+    for c, num, den, strict in bounds:
+        if c > 0:
+            p, q = num, den * c
+            if not up_q or p * up_q < up_p * q or (strict and p * up_q == up_p * q):
+                up_p, up_q, up_strict = p, q, strict
+        else:
+            p, q = -num, -den * c
+            if not lo_q or p * lo_q > lo_p * q or (strict and p * lo_q == lo_p * q):
+                lo_p, lo_q, lo_strict = p, q, strict
+    if not lo_q or not up_q:
+        return False
+    # the last FM step: the tightest lower and upper row and their one pair
+    _check_budget(3, "Fourier-Motzkin step")
+    lhs, rhs = lo_p * up_q, up_p * lo_q
+    return lhs > rhs or (lhs == rhs and (lo_strict or up_strict))
 
 
 _empty_cache: dict[tuple, bool] = {}
@@ -283,14 +398,18 @@ def clear_caches() -> None:
 
 
 def is_empty_cell(c: Cell) -> bool:
-    """True iff no rational (equivalently real) point satisfies the cell."""
+    """True iff no rational (equivalently real) point satisfies the cell.
+
+    Cached on ``Cell.key()``; a miss is decided by :func:`_rows_empty` on
+    the cell's rows, whose FM steps pick their variables by
+    :func:`_choose_var`."""
     key = c.key()
     hit = _empty_cache.get(key)
     if hit is not None:
         return hit
     used = {j for h in c.constraints for j in range(c.dim) if h.normal[j] != 0}
     if used:
-        result = _eliminate_vars(c.constraints, used) is None
+        result = _rows_empty(c.constraints, used)
     else:  # normalized rows without a variable: the canonical false row, or none
         result = bool(c.constraints)
     if len(_empty_cache) >= _EMPTY_CACHE_LIMIT:
@@ -444,7 +563,7 @@ def _cell_subset_of_cell(a: Cell, b: Cell) -> bool:
     if hit is not None:
         return hit
     inside = not any(a.excludes(h) for h in b.constraints) and all(
-        a.implies(h) or is_empty_cell(Cell(a.dim, a.constraints + (h.negated(),)))
+        a.implies(h) or is_empty_cell(a.extended((h.negated(),)))
         for h in b.constraints)
     return _remember(_subset_memo, key, inside)
 
@@ -458,15 +577,11 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
     hit = _reduced_memo.get(key)
     if hit is not None:
         return hit
-    cons = c.constraints
-    i = 0
-    while i < len(cons):
-        others = cons[:i] + cons[i + 1:]
-        if is_empty_cell(Cell(c.dim, others + (cons[i].negated(),))):
-            cons = others
-        else:
-            i += 1
-    return _remember(_reduced_memo, key, c if cons is c.constraints else Cell(c.dim, cons))
+    dropped: list[HalfSpace] = []
+    for r in c.constraints:
+        if is_empty_cell(c.extended((r.negated(),), omit=(*dropped, r))):
+            dropped.append(r)
+    return _remember(_reduced_memo, key, c.extended((), omit=dropped) if dropped else c)
 
 
 def canonicalize(s: PLSet) -> PLSet:
@@ -527,7 +642,7 @@ def intersect(s: PLSet, t: PLSet) -> PLSet:
     return PLSet(dim, _light_cleanup(out))
 
 
-def _split(dim: int, p: Cell, b: Cell) -> tuple[Cell, ...]:
+def _split(p: Cell, b: Cell) -> tuple[Cell, ...]:
     """Cells covering ``p \\ b``.  The rows of ``b`` that ``p`` does not imply
     cut it; with none, ``p`` lies in ``b`` and nothing is left.  A piece that
     ``b`` misses (seen from a cut row ``p`` excludes, or by FM) is left
@@ -536,9 +651,9 @@ def _split(dim: int, p: Cell, b: Cell) -> tuple[Cell, ...]:
     cut = [h for h in b.constraints if not p.implies(h)]
     if not cut:
         return ()
-    if any(p.excludes(h) for h in cut) or is_empty_cell(Cell(dim, p.constraints + tuple(cut))):
+    if any(p.excludes(h) for h in cut) or is_empty_cell(p.extended(cut)):
         return (p,)
-    return tuple(Cell(dim, p.constraints + (h.negated(),)) for h in cut)
+    return tuple(p.extended((h.negated(),)) for h in cut)
 
 
 def _subtract_cells(
@@ -556,7 +671,7 @@ def _subtract_cells(
             key = (p.key(), bkey)
             split = _split_memo.get(key)
             if split is None:
-                split = _remember(_split_memo, key, _split(dim, p, b))
+                split = _remember(_split_memo, key, _split(p, b))
             nxt.extend(split)
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(nxt))

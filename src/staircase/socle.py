@@ -49,10 +49,11 @@ from .geometry import (
 )
 
 
-def _m_tau(tau: Face) -> PLSet:
-    """The punctured cone ``R^n_+ minus tau`` as cells ``{q >= 0, q_j > 0}``."""
-    return PLSet(tau.dim, tuple(
-        upset_cone_cell(Face(tau.dim, frozenset({j}))) for j in sorted(tau.codim_coords)))
+def _m_tau(tau: Face, negative: bool = False) -> PLSet:
+    """The punctured cone ``R^n_+ minus tau`` as cells ``{q >= 0, q_j > 0}``;
+    its reflection when ``negative``."""
+    return PLSet(tau.dim, tuple(upset_cone_cell(Face(tau.dim, frozenset({j})), negative)
+                                for j in sorted(tau.codim_coords)))
 
 
 def max_along(s: PLSet, tau: Face) -> PLSet:
@@ -70,9 +71,9 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
     """
     if tau.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
-    result = qe.difference(s, qe.minkowski(s, qe.reflect(_m_tau(tau))))
+    result = qe.difference(s, qe.minkowski(s, _m_tau(tau, negative=True)))
     if result.cells and tau.coords:
-        unstable = qe.minkowski(qe.complement(s), cone_cell(tau).reflected())
+        unstable = qe.minkowski(qe.complement(s), cone_cell(tau, negative=True))
         result = qe.difference(result, unstable)
     return result
 
@@ -341,7 +342,7 @@ def sigma_closure(x: PLSet, sigma: Face, tau: Face) -> PLSet:
             f"expected a set in the quotient of dimension {qdim}, got {x.dim}"
         )
     s = _quotient_face(sigma, tau, qdim)
-    hang = upset_cone_cell(s).reflected()
+    hang = upset_cone_cell(s, negative=True)
     downset = Downset(qe.minkowski(x, hang))
     return upper_boundary(downset, s).carrier
 

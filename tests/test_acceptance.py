@@ -319,25 +319,27 @@ def test_criterion_7_real_discrete_correspondence():
 def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
     # unless canonicalize absorbs cells contained in others at every size.
-    # Its FM work is pinned by the row pairs the steps combine from cold
-    # caches: 25,443 with the qe memos, 25,484 without (23,841 with the
-    # escape set of socle.max_along condensed); 120,906 when socle degrees
-    # came from the nadir strata, and 72,700 with FM in ascending index
-    # order instead of the greedy one.
+    # Its FM work is pinned by the row pairs the FM steps partition out
+    # (qe._partition) from cold caches: 23,977 since emptiness decides the
+    # last step by comparing two bounds.  Counted at every qe._fm_step
+    # before that: 25,443 with the qe memos, 25,484 without (23,841 with
+    # the escape set of socle.max_along condensed); 120,906 when socle
+    # degrees came from the nadir strata, and 72,700 with FM in ascending
+    # index order instead of the greedy one.
     pairs = [0]
-    fm_step = qe._fm_step
+    partition = qe._partition
 
-    def counted_step(constraints, j, ray=None):
-        pairs[0] += (sum(1 for h in constraints if h.normal[j] < 0)
-                     * sum(1 for h in constraints if h.normal[j] > 0))
-        return fm_step(constraints, j, ray)
+    def counted_partition(constraints, j):
+        lows, ups, rest = partition(constraints, j)
+        pairs[0] += len(lows) * len(ups)
+        return lows, ups, rest
 
     start = time.perf_counter()
     for seed in range(1, 7):
         d = random_downset(seed, 4, 5)
         if seed == 6:
             qe.clear_caches()
-            monkeypatch.setattr(qe, "_fm_step", counted_step)
+            monkeypatch.setattr(qe, "_partition", counted_partition)
         pd = primary_decomposition(d)  # internal union check is exact
         fam = irreducible_family(d, table=pd.table)
         assert equals(reconstruct(fam, d), d.carrier), seed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from staircase import (
     Cell,
+    CellLimitExceeded,
     DimensionMismatch,
     PLSet,
     StaircaseError,
@@ -44,6 +45,7 @@ from staircase.qe import (
     _light_cleanup,
     _cell_subset_of_cell,
     _normalize_constraints,
+    _rows_empty,
     clear_caches,
     condense,
     difference_witness,
@@ -773,6 +775,13 @@ def test_axis_cells_are_built_once_per_condition_tuple():
             assert cone_cell(f) is cone_cell(f)
             assert face_interior(f) is _axis_cell(tuple(">" if i in f.coords else "="
                                                          for i in range(n)))
+            # the negative cones are the reflections, as Minkowski summands
+            # read them (row order aside), and built once too
+            for build in (face_interior, upset_cone_cell, cone_cell):
+                assert build(f, negative=True) is build(f, negative=True)
+                assert build(f, negative=True).key() == build(f).reflected().key()
+            assert ([c.key() for c in _m_tau(f, negative=True).cells]
+                    == [c.key() for c in reflect(_m_tau(f)).cells])
 
 
 # --- parallel rows decided without FM ------------------------------------------
@@ -976,6 +985,124 @@ def test_false_row_is_empty_without_fm_normalizing_its_input():
         assert exists(PLSet(n, (false,)), ()).cells == ()
         assert minkowski(PLSet(n, (false,)), Cell(n)).cells == ()
         assert minkowski(universe(n), false).cells == ()
+
+
+# --- emptiness decided on bare rows, query cells built by extension -----------
+
+
+def _decision_rows(rng, n):
+    """1-7 rows over up to n + 2 directions, each taken with either sign and
+    scale, at offsets through one rational point or a half step off it: so
+    parallel and opposite rows of mixed strictness, and rows that meet at
+    one point only, keep turning up."""
+    point = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+    directions = [d for d in (tuple(rng.randint(-2, 2) for _ in range(n))
+                              for _ in range(rng.randint(1, n + 2))) if any(d)]
+    directions = directions or [(1,) * n]
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        normal = [rng.choice((1, -1, 2, -2)) * c for c in rng.choice(directions)]
+        offset = dot(normal, point) + rng.choice((0, 0, 0, F(1, 2), F(-1, 2)))
+        rows.append(halfspace(normal, offset, rng.random() < 0.5))
+    return rows
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except CellLimitExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_emptiness_kernel_matches_eliminate_vars(seed, n):
+    # is_empty_cell decides on the rows without building the last two
+    # steps' rows; it must answer as the full elimination does, and raise
+    # the same CellLimitExceeded under the same small limits.
+    rng = random.Random(seed)
+    previous = get_cell_limit()
+    try:
+        for _ in range(8):
+            c = Cell(n, _decision_rows(rng, n))
+            used = {j for h in c.constraints for j in range(n) if h.normal[j]}
+            if not used:
+                continue
+            rows = c.constraints
+            assert _rows_empty(rows, used) == (_eliminate_vars(rows, used) is None), rows
+            for limit in (2, 3, 5, 9):
+                set_cell_limit(limit)
+                assert (_outcome(lambda: _rows_empty(rows, used))
+                        == _outcome(lambda: _eliminate_vars(rows, used) is None)), (rows, limit)
+            set_cell_limit(previous)
+    finally:
+        set_cell_limit(previous)
+
+
+def test_emptiness_kernel_decides_ties_by_strictness():
+    # the last variable pinned between bounds that meet: empty exactly when
+    # one of them is strict, in one, two and three variables
+    for n in (1, 2, 3):
+        for lo_strict in (False, True):
+            for up_strict in (False, True):
+                rows = [hs([1] * n, 1, up_strict), hs([-1] * n, -1, lo_strict)]
+                rows += [hs([1 if k == j else 0 for k in range(n)], 5) for j in range(n - 1)]
+                clear_caches()
+                assert is_empty_cell(Cell(n, rows)) == (lo_strict or up_strict)
+    # two lower and upper bounds, the tightest decide
+    rows = [hs([1, 1], 3), hs([1, 1], 2, True), hs([-1, -1], -2), hs([-1, 1], 0)]
+    assert is_empty_cell(Cell(2, rows))
+    assert not is_empty_cell(Cell(2, rows[:1] + rows[2:]))
+
+
+def _extension_rows(rng, base):
+    """Rows to add to ``base``: its rows negated, parallel or opposite ones
+    at nearby offsets, and zero-normal rows, true and false."""
+    n = base.dim
+    pool = [h for h in base.constraints if any(h.normal)] + [
+        h for h in _raw_rows(rng, n) if any(h.normal)]
+    extra = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(4) if pool else 3
+        strict = rng.random() < 0.5
+        if kind == 0:
+            extra.append(rng.choice(pool).negated())
+        elif kind in (1, 2):  # parallel, or opposite
+            h = rng.choice(pool)
+            sign = 1 if kind == 1 else -1
+            extra.append(halfspace([sign * rng.choice((1, 2)) * c for c in h.normal],
+                                   sign * h.offset + F(rng.randint(-1, 1), 2), strict))
+        else:
+            extra.append(halfspace([0] * n, rng.randint(-1, 1), strict))
+    return extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_extended_cell_matches_the_constructor(seed, n):
+    # Cell.extended normalizes only the added rows against the row index;
+    # it must give the constructor's rows in the constructor's order, and
+    # an index that matches them.
+    rng = random.Random(seed)
+    base = Cell(n, _raw_rows(rng, n))  # sometimes the false cell
+    if rng.random() < 0.5:
+        base._row(())  # with the index built, or not
+    for _ in range(6):
+        extra = _extension_rows(rng, base)
+        omit = rng.sample(base.constraints, rng.randint(0, len(base.constraints)))
+        got = base.extended(extra, omit=omit)
+        kept = tuple(h for h in base.constraints if h not in omit)
+        assert got.dim == n
+        assert got.constraints == Cell(n, kept + tuple(extra)).constraints, (base, extra, omit)
+        index = {h.normal: h for h in got.constraints}
+        assert list(got.__dict__.get("_rows", index).items()) == list(index.items())
+        assert got.key() == Cell(n, got.constraints).key()
+        base = got if rng.random() < 0.5 else base
+    wrong = halfspace([0] * (n + 1), rng.randint(-1, 1))  # zero normal, wrong length
+    with pytest.raises(DimensionMismatch):
+        base.extended((wrong,))
+    with pytest.raises(DimensionMismatch):
+        base.extended((halfspace([0] * n, -1), wrong))  # after a contradiction too
 
 
 def _limit_reference(rows, a, v):
