@@ -20,15 +20,16 @@ carrier with ``qe.equals``.  It counts four kinds of work and one size:
   the last step of an emptiness decision, a comparison of two bounds,
   not;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included;
-* ``memo_entries_max``: the most entries one of the ``qe`` memo tables
-  (``qe._MEMOS``) holds during one instance's op, the footprint to weigh
-  against their bound ``qe._MEMO_LIMIT``.  It is a maximum, not a sum.
+* ``table_entries_max``: the most entries the one ``qe`` engine table
+  (``qe._table``, filled through ``qe._remember``) holds during one
+  instance's op, the footprint to weigh against its bound
+  ``qe._TABLE_LIMIT``.  It is a maximum, not a sum.
 
 The counts depend on the code alone, not on the machine or its load, so
 they show the cut of a change exactly where wall time is too noisy to.  The
 engine is wrapped from outside; no source file of it changes.  Counting
 starts after every instance is loaded, so the last line, the totals as
-JSON, is the sum of the printed rows (the maximum, for ``memo_entries_max``).
+JSON, is the sum of the printed rows (the maximum, for ``table_entries_max``).
 
 Usage: PYTHONPATH=src python3 scripts/work_counts.py [--n 2|3|4]
 """
@@ -47,7 +48,7 @@ N4 = [(s, 4, 5) for s in range(1, 7)]
 
 def install(counts: dict, peak: list) -> None:
     """Count calls of the wrapped functions in ``counts``; keep the largest
-    memo table size in ``peak[0]``."""
+    engine table size in ``peak[0]``."""
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -75,9 +76,9 @@ def install(counts: dict, peak: list) -> None:
     remember = qe._remember
 
     @functools.wraps(remember)
-    def measured(memo, key, value):
-        value = remember(memo, key, value)
-        peak[0] = max(peak[0], len(memo))
+    def measured(key, value):
+        value = remember(key, value)
+        peak[0] = max(peak[0], len(qe._table))
         return value
 
     qe._remember = measured
@@ -104,14 +105,14 @@ def main(argv=None) -> int:
         if not qe.equals(recon, d.carrier):
             print(f"reconstruction differs from the carrier at n={n}", file=sys.stderr)
             return 1
-        row = per_n.setdefault(n, dict.fromkeys((*counts, "memo_entries_max"), 0))
+        row = per_n.setdefault(n, dict.fromkeys((*counts, "table_entries_max"), 0))
         for key in counts:
             row[key] += counts[key] - before[key]
-        row["memo_entries_max"] = max(row["memo_entries_max"], peak[0])
+        row["table_entries_max"] = max(row["table_entries_max"], peak[0])
     for n, row in sorted(per_n.items()):
         print(f"n={n}: " + "  ".join(f"{key} {value:,}" for key, value in row.items()))
-    memo_max = max(row["memo_entries_max"] for row in per_n.values())
-    print(json.dumps({"instances": len(corpus), **counts, "memo_entries_max": memo_max}))
+    table_max = max(row["table_entries_max"] for row in per_n.values())
+    print(json.dumps({"instances": len(corpus), **counts, "table_entries_max": table_max}))
     return 0
 
 

@@ -405,7 +405,7 @@ def random_downset(seed: int, n: int, cell_budget: int = 6) -> Downset:
                 )
             sigma = Face(n, frozenset(i for i in range(n) if rng.random() < 0.5))
             closed_down = qe.minkowski(
-                PLSet(n, (stack,)), upset_cone_cell(sigma).reflected()
+                PLSet(n, (stack,)), upset_cone_cell(sigma, negative=True)
             )
             cells.extend(closed_down.cells)
         candidate = qe.canonicalize(PLSet(n, tuple(cells)))

@@ -15,7 +15,7 @@ inequalities stays non-strict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, neg
 from typing import Iterable, Sequence
@@ -98,11 +98,15 @@ class Cell:
     The constructor normalizes the rows once (:func:`_normalize_constraints`):
     no trivially true rows, no duplicates, only the tightest of parallel
     bounds.  A constant contradiction is stored as the one canonical false
-    row ``0 <= -1``.  So every cell's rows are normalized, and ``key()`` is
-    the emptiness cache key as it stands."""
+    row ``0 <= -1``.  The frozen set of the rows, ``rowset``, and its hash
+    with ``dim`` are stored when the cell is built, and a cell compares and
+    hashes by ``dim`` and ``rowset``: two cells are equal when they have the
+    same rows in any order, so a cell is its own cache key.  The universe
+    cell has no rows in every dimension, so ``dim`` is part of that key."""
 
     dim: int
-    constraints: tuple[HalfSpace, ...] = ()
+    constraints: tuple[HalfSpace, ...] = field(default=(), compare=False)
+    rowset: frozenset[HalfSpace] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(self.constraints)
@@ -111,8 +115,16 @@ class Cell:
                 raise DimensionMismatch(
                     f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
                 )
-        norm = _normalize_constraints(rows)
-        object.__setattr__(self, "constraints", (_false_row(self.dim),) if norm is None else norm)
+        rows = _normalize_constraints(rows)
+        if rows is None:
+            rows = (_false_row(self.dim),)
+        rowset = frozenset(rows)
+        object.__setattr__(self, "constraints", rows)
+        object.__setattr__(self, "rowset", rowset)
+        object.__setattr__(self, "_hash", hash((self.dim, rowset)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dim:
@@ -125,13 +137,6 @@ class Cell:
     def reflected(self) -> "Cell":
         """The cell ``{-x : x in self}``; constraint order is kept."""
         return Cell(self.dim, tuple(h.reflected() for h in self.constraints))
-
-    def key(self) -> tuple:
-        cached = self.__dict__.get("_key")
-        if cached is None:
-            cached = (self.dim, frozenset(self.constraints))
-            object.__setattr__(self, "_key", cached)
-        return cached
 
     def _row(self, normal: tuple[int, ...]) -> HalfSpace | None:
         """The row with this normal, if any (normalized rows have one per
@@ -164,9 +169,12 @@ class Cell:
         else:
             norm = _normalize_constraints(extra, rows)
         if norm is None:
-            out.__dict__.update(dim=self.dim, constraints=(_false_row(self.dim),))
+            norm = (_false_row(self.dim),)
         else:
-            out.__dict__.update(dim=self.dim, constraints=norm, _rows=rows)
+            out.__dict__["_rows"] = rows
+        rowset = frozenset(norm)
+        out.__dict__.update(dim=self.dim, constraints=norm, rowset=rowset,
+                            _hash=hash((self.dim, rowset)))
         return out
 
     def implies(self, h: HalfSpace) -> bool:
@@ -349,73 +357,57 @@ def _rows_empty(constraints: Sequence[HalfSpace], used: set[int]) -> bool:
     return lhs > rhs or (lhs == rhs and (lo_strict or up_strict))
 
 
-_empty_cache: dict[tuple, bool] = {}
-_EMPTY_CACHE_LIMIT = 300_000
-
-# Memos of the pure cell-level work that repeats within one op, keyed on
-# ``Cell.key()``: the split of a piece by a subtrahend cell in
-# :func:`_subtract_cells`, :func:`_cell_subset_of_cell`,
-# :func:`_drop_redundant_constraints`, and the sum of a cell with one axis
-# cone in :func:`minkowski`.  A table that reaches ``_MEMO_LIMIT`` entries is
-# cleared wholesale, as the emptiness cache is.  Unbounded, one op fills a
-# table to at most 1,267 entries on the decompose corpus and 4,119 on the
-# n=4 instances ``random_downset(s, 4, 5)``, s = 1-6, but the benchmark's
-# membership set-up builds the boundaries of 125 instances with no clear in
-# between.  Measured on a 2-vCPU machine at bounds 256, 512 and 1,024,
-# against no memos: the decompose corpus (summed per-op minimum) in
-# 1.00-1.07 s, 0.98-1.01 s and 0.96-1.02 s, against 1.30 s; the n=4
-# instances in 0.76 s, 0.56 s and 0.55 s, against 1.08 s; the membership
-# benchmark's peak RSS 27.7-27.8 MB, 27.8-28.1 MB and 28.4-29.1 MB, against
-# 27.5-27.6 MB.
-_split_memo: dict[tuple, tuple[Cell, ...]] = {}
-_subset_memo: dict[tuple, bool] = {}
-_reduced_memo: dict[tuple, Cell] = {}
-_cone_sum_memo: dict[tuple, tuple[Cell, ...]] = {}
-_MEMOS = (_split_memo, _subset_memo, _reduced_memo, _cone_sum_memo)
-_MEMO_LIMIT = 512
+# The engine table: the memos of the pure cell-level work that repeats within
+# one op, keyed on ``(tag, *cells)`` (a cell is its own key, see
+# :class:`Cell`): ``"empty"`` (:func:`is_empty_cell`), ``"split"`` (the split
+# of a piece by a subtrahend cell in :func:`_subtract_cells`), ``"subset"``
+# (:func:`_cell_subset_of_cell`), ``"reduced"``
+# (:func:`_drop_redundant_constraints`) and ``"cone"`` (the sum of a cell and
+# one axis cone in :func:`minkowski`).  It is cleared wholesale when it
+# reaches ``_TABLE_LIMIT`` entries.  Unbounded, one op fills it to at most
+# 3,261 entries on the benchmark's decompose ops, 3,427 on its verify mix and
+# 11,367 on the n=4 instances ``random_downset(s, 4, 5)``, s = 1-6 (so seed 6
+# clears it once), but the benchmark's membership set-up builds the
+# boundaries of 125 instances with no clear in between (14,080 entries), and
+# a larger bound keeps those cells alive.  Membership benchmark peak RSS on a
+# 2-vCPU machine (seeds 11-13), per bound: 38.6-39.0 MB at 300,000,
+# 36.2-39.7 MB at 16,384 and 34.9-35.5 MB at 8,192, against 34.6-36.0 MB
+# with a 300,000-entry emptiness cache and four 512-entry memos.
+_table: dict[tuple, object] = {}
+_TABLE_LIMIT = 8_192
 
 
-def _remember(memo: dict, key: tuple, value):
-    """Store ``value`` under ``key``, clearing ``memo`` first if it is full."""
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
+def _remember(key: tuple, value):
+    """Store ``value`` under ``key`` in the engine table, clearing it first
+    if it is full."""
+    if len(_table) >= _TABLE_LIMIT:
+        _table.clear()
+    _table[key] = value
     return value
 
 
 def clear_caches() -> None:
-    """Empty every engine table: the emptiness cache ``_empty_cache`` (cell
-    key to bool) and the memos ``_split_memo`` (piece and subtrahend cell
-    keys to the pieces left), ``_subset_memo`` (two cell keys to whether the
-    first lies in the second), ``_reduced_memo`` (cell key to the cell
-    without redundant rows) and ``_cone_sum_memo`` (cell and axis cone keys
-    to their sum, one cell or none).  Every read of them is one ``.get``, so
-    a concurrent clear never makes one fail.  The axis cells of
+    """Empty the engine table ``_table``.  Every read of it is one ``.get``,
+    so a concurrent clear never makes one fail.  The axis cells of
     ``geometry._axis_cell`` are constants and stay."""
-    _empty_cache.clear()
-    for memo in _MEMOS:
-        memo.clear()
+    _table.clear()
 
 
 def is_empty_cell(c: Cell) -> bool:
     """True iff no rational (equivalently real) point satisfies the cell.
 
-    Cached on ``Cell.key()``; a miss is decided by :func:`_rows_empty` on
+    Cached in the engine table; a miss is decided by :func:`_rows_empty` on
     the cell's rows, whose FM steps pick their variables by
     :func:`_choose_var`."""
-    key = c.key()
-    hit = _empty_cache.get(key)
+    key = ("empty", c)
+    hit = _table.get(key)
     if hit is not None:
         return hit
     used = {j for h in c.constraints for j in range(c.dim) if h.normal[j] != 0}
     if used:
-        result = _rows_empty(c.constraints, used)
-    else:  # normalized rows without a variable: the canonical false row, or none
-        result = bool(c.constraints)
-    if len(_empty_cache) >= _EMPTY_CACHE_LIMIT:
-        _empty_cache.clear()
-    _empty_cache[key] = result
-    return result
+        return _remember(key, _rows_empty(c.constraints, used))
+    # normalized rows without a variable: the canonical false row, or none
+    return _remember(key, bool(c.constraints))
 
 
 def witness_cell(c: Cell) -> Vec | None:
@@ -545,27 +537,24 @@ def _light_cleanup(cells_: Iterable[Cell]) -> tuple[Cell, ...]:
     Every cell comes in normalized, since the constructor normalizes, so
     this pass normalizes nothing; it is the one place where the boolean
     operations emptiness-check the cells they build."""
-    seen: dict[tuple, Cell] = {}
-    for c in cells_:
-        if not is_empty_cell(c):
-            seen.setdefault(c.key(), c)
-    keysets = [key[1] for key in seen]  # distinct, since deduped
-    return tuple(c for c, rows in zip(seen.values(), keysets)
-                 if not any(other < rows for other in keysets))
+    seen = tuple(dict.fromkeys(c for c in cells_ if not is_empty_cell(c)))
+    rowsets = [c.rowset for c in seen]  # distinct, since deduped
+    return tuple(c for c, rows in zip(seen, rowsets)
+                 if not any(other < rows for other in rowsets))
 
 
 def _cell_subset_of_cell(a: Cell, b: Cell) -> bool:
     """True iff ``a`` lies in ``b``.  ``a`` must be nonempty, as cells out of
     :func:`_light_cleanup` are: then a row of ``b`` that ``a`` excludes makes
     it False, and the rows of ``b`` that ``a`` implies need no FM check."""
-    key = (a.key(), b.key())
-    hit = _subset_memo.get(key)
+    key = ("subset", a, b)
+    hit = _table.get(key)
     if hit is not None:
         return hit
     inside = not any(a.excludes(h) for h in b.constraints) and all(
         a.implies(h) or is_empty_cell(a.extended((h.negated(),)))
         for h in b.constraints)
-    return _remember(_subset_memo, key, inside)
+    return _remember(key, inside)
 
 
 def _drop_redundant_constraints(c: Cell) -> Cell:
@@ -573,15 +562,15 @@ def _drop_redundant_constraints(c: Cell) -> Cell:
 
     A row not implied by a set of rows is not implied by any subset of it,
     so a row kept once never needs checking again."""
-    key = c.key()
-    hit = _reduced_memo.get(key)
+    key = ("reduced", c)
+    hit = _table.get(key)
     if hit is not None:
         return hit
     dropped: list[HalfSpace] = []
     for r in c.constraints:
         if is_empty_cell(c.extended((r.negated(),), omit=(*dropped, r))):
             dropped.append(r)
-    return _remember(_reduced_memo, key, c.extended((), omit=dropped) if dropped else c)
+    return _remember(key, c.extended((), omit=dropped) if dropped else c)
 
 
 def canonicalize(s: PLSet) -> PLSet:
@@ -662,16 +651,15 @@ def _subtract_cells(
     """Subtract ``cells_`` from ``pieces`` cell by cell; stop once empty.
 
     Each piece ``p`` is split by each cell ``b`` (:func:`_split`, memoized on
-    the keys of ``p`` and ``b``).  The budget counts the pieces passed on and
-    the candidates of the splits before the cleanup drops the empty ones."""
+    ``p`` and ``b``).  The budget counts the pieces passed on and the
+    candidates of the splits before the cleanup drops the empty ones."""
     for b in cells_:
-        bkey = b.key()
         nxt: list[Cell] = []
         for p in pieces:
-            key = (p.key(), bkey)
-            split = _split_memo.get(key)
+            key = ("split", p, b)
+            split = _table.get(key)
             if split is None:
-                split = _remember(_split_memo, key, _split(p, b))
+                split = _remember(key, _split(p, b))
             nxt.extend(split)
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(nxt))
@@ -809,16 +797,15 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
     raises :class:`StaircaseError`, and an empty one adds nothing."""
     if k.dim != s.dim:
         raise DimensionMismatch(f"minkowski of dimensions {s.dim} and {k.dim}")
-    cones = [(b.key(), steps) for b in ((k,) if isinstance(k, Cell) else k.cells)
+    cones = [(b, steps) for b in ((k,) if isinstance(k, Cell) else k.cells)
              if (steps := _cone_steps(b)) is not None]
     out: list[Cell] = []
     for a in s.cells:
-        akey = a.key()
-        for bkey, steps in cones:
-            key = (akey, bkey)
-            summed = _cone_sum_memo.get(key)
+        for b, steps in cones:
+            key = ("cone", a, b)
+            summed = _table.get(key)
             if summed is None:
-                summed = _remember(_cone_sum_memo, key, _add_cone(a, steps))
+                summed = _remember(key, _add_cone(a, steps))
             out.extend(summed)
     return PLSet(s.dim, _light_cleanup(out))
 

@@ -19,6 +19,12 @@ def hs(normal, offset, strict=False):
     return halfspace(normal, offset, strict)
 
 
+def rows_of(cells):
+    """Each cell's rows in order: what cell ``==``, which ignores row order,
+    does not compare."""
+    return [c.constraints for c in cells]
+
+
 @pytest.fixture(scope="session")
 def half_plane():
     """Open half-plane below the antidiagonal: {x + y < 1}."""

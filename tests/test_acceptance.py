@@ -320,8 +320,9 @@ def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
     # unless canonicalize absorbs cells contained in others at every size.
     # Its FM work is pinned by the row pairs the FM steps partition out
-    # (qe._partition) from cold caches: 23,977 since emptiness decides the
-    # last step by comparing two bounds.  Counted at every qe._fm_step
+    # (qe._partition) from cold caches: 20,876 with one engine table keyed
+    # on the cells, 23,977 since emptiness decides the last step by
+    # comparing two bounds.  Counted at every qe._fm_step
     # before that: 25,443 with the qe memos, 25,484 without (23,841 with
     # the escape set of socle.max_along condensed); 120,906 when socle
     # degrees came from the nadir strata, and 72,700 with FM in ascending

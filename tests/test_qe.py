@@ -68,7 +68,7 @@ from staircase.geometry import (
 from staircase.rationals import dot, int_row
 from staircase.socle import _m_tau
 
-from conftest import hs, rational_grid
+from conftest import hs, rational_grid, rows_of
 
 
 def F(a, b=1):
@@ -513,9 +513,9 @@ def test_no_cleanup_after_eliminate_or_reflect(case):
     # would drop or change a cell
     s, coords = case
     projected = eliminate(s, coords)
-    assert _light_cleanup(projected.cells) == projected.cells
+    assert rows_of(_light_cleanup(projected.cells)) == rows_of(projected.cells)
     c = canonicalize(s)
-    assert canonicalize(reflect(c)).cells == reflect(c).cells
+    assert rows_of(canonicalize(reflect(c)).cells) == rows_of(reflect(c).cells)
 
 
 @settings(max_examples=30, deadline=None)
@@ -634,7 +634,7 @@ def test_cell_constructor_normalizes_rows(seed, n):
 def test_difference_leaves_cells_the_subtrahend_misses_alone():
     s = canonicalize(plset(2, cell(2, hs([1, 0], 0), hs([0, 1], 0))))
     t = plset(2, cell(2, hs([-1, -1], -1)))  # x + y >= 1 misses s
-    assert difference(s, t).cells == s.cells
+    assert rows_of(difference(s, t).cells) == rows_of(s.cells)
 
 
 def test_canonicalize_absorbs_at_every_size():
@@ -645,7 +645,7 @@ def test_canonicalize_absorbs_at_every_size():
     # absorb can drop the unit boxes
     s = plset(2, box(0, 30), *(box(i, i + 1) for i in range(29)))
     got = canonicalize(s)
-    assert got.cells == (box(0, 30),)
+    assert rows_of(got.cells) == [box(0, 30).constraints]
     assert equals(got, s)
 
 
@@ -725,8 +725,41 @@ def test_memoized_operations_match_cold_runs(seed, n):
             assert equals(got, cold), name
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_cells_compare_and_hash_by_their_row_set(seed, n):
+    # a cell is its own cache key: the same rows in another order give an
+    # equal cell with an equal hash, with its own row order kept
+    rng = random.Random(seed)
+    c = Cell(n, _raw_rows(rng, n))
+    rows = list(c.constraints)
+    rng.shuffle(rows)
+    twin = Cell(n, rows)
+    assert twin.constraints == tuple(rows)
+    assert twin == c and hash(twin) == hash(c)
+    assert c.rowset == frozenset(rows)
+    if rows:
+        assert Cell(n, rows[1:]) != c
+
+
+def test_cells_of_different_dimensions_differ():
+    assert Cell(1) != Cell(2)
+    assert Cell(1, (halfspace([0], -1),)) != Cell(2, (halfspace([0, 0], -1),))
+
+
+def test_minkowski_memo_keeps_the_dimension():
+    # the universe cell has no rows in every dimension, so a memo key
+    # without the dimension would hand the second sum the first's cell
+    clear_caches()
+    assert minkowski(universe(1), Cell(1)).cells == (Cell(1),)
+    got = minkowski(universe(2), Cell(2))
+    assert got.dim == 2 and [c.dim for c in got.cells] == [2]
+    assert equals(got, universe(2))
+    clear_caches()
+
+
 def _engine_tables():
-    """Every module-level dict of ``qe``: the emptiness cache and the memos."""
+    """Every module-level dict of ``qe``."""
     return {name: table for name, table in vars(qe).items()
             if isinstance(table, dict) and not name.startswith("__")}
 
@@ -734,30 +767,29 @@ def _engine_tables():
 def test_clear_caches_empties_every_engine_table():
     from staircase import primary_decomposition, random_downset
 
-    assert set(_engine_tables()) == {"_empty_cache", "_split_memo", "_subset_memo",
-                                     "_reduced_memo", "_cone_sum_memo"}
+    assert list(_engine_tables()) == ["_table"]  # the one engine table
     primary_decomposition(random_downset(10014, 3, 5))
-    assert all(_engine_tables().values())
+    assert {key[0] for key in qe._table} == {"empty", "split", "subset", "reduced", "cone"}
     clear_caches()
-    assert not any(_engine_tables().values())
+    assert not qe._table
 
 
 def test_memo_tables_never_exceed_their_bound(monkeypatch):
     from staircase import irreducible_family, primary_decomposition, random_downset, reconstruct
 
-    for memo in qe._MEMOS:
-        for i in range(qe._MEMO_LIMIT + 10):
-            qe._remember(memo, ("key", i), i)
-            assert len(memo) <= qe._MEMO_LIMIT
+    clear_caches()
+    for i in range(qe._TABLE_LIMIT + 10):
+        qe._remember(("key", i), i)
+        assert len(qe._table) <= qe._TABLE_LIMIT
     # a small bound, cleared wholesale over and over, changes no answer
     clear_caches()
-    monkeypatch.setattr(qe, "_MEMO_LIMIT", 16)
+    monkeypatch.setattr(qe, "_TABLE_LIMIT", 16)
     sizes = []
     remember = qe._remember
 
-    def measured(memo, key, value):
-        value = remember(memo, key, value)
-        sizes.append(len(memo))
+    def measured(key, value):
+        value = remember(key, value)
+        sizes.append(len(qe._table))
         return value
 
     monkeypatch.setattr(qe, "_remember", measured)
@@ -779,9 +811,11 @@ def test_axis_cells_are_built_once_per_condition_tuple():
             # read them (row order aside), and built once too
             for build in (face_interior, upset_cone_cell, cone_cell):
                 assert build(f, negative=True) is build(f, negative=True)
-                assert build(f, negative=True).key() == build(f).reflected().key()
-            assert ([c.key() for c in _m_tau(f, negative=True).cells]
-                    == [c.key() for c in reflect(_m_tau(f)).cells])
+                assert build(f, negative=True) == build(f).reflected()
+                assert hash(build(f, negative=True)) == hash(build(f).reflected())
+            negative, reflected = _m_tau(f, negative=True).cells, reflect(_m_tau(f)).cells
+            assert list(negative) == list(reflected)
+            assert list(map(hash, negative)) == list(map(hash, reflected))
 
 
 # --- parallel rows decided without FM ------------------------------------------
@@ -1096,7 +1130,9 @@ def test_extended_cell_matches_the_constructor(seed, n):
         assert got.constraints == Cell(n, kept + tuple(extra)).constraints, (base, extra, omit)
         index = {h.normal: h for h in got.constraints}
         assert list(got.__dict__.get("_rows", index).items()) == list(index.items())
-        assert got.key() == Cell(n, got.constraints).key()
+        assert got.rowset == frozenset(got.constraints)
+        assert got == Cell(n, got.constraints)
+        assert hash(got) == hash(Cell(n, got.constraints))
         base = got if rng.random() < 0.5 else base
     wrong = halfspace([0] * (n + 1), rng.randint(-1, 1))  # zero normal, wrong length
     with pytest.raises(DimensionMismatch):
