@@ -7,7 +7,7 @@ of the n=4 instances ``random_downset(s, 4, 5)`` for s = 1-6 (seed 6 is
 the hard case), loaded from its instance JSON as the CLI does, it starts
 from cold engine caches, runs the primary decomposition, the irreducible
 family and ``reconstruct``, then checks the reconstruction against the
-carrier with ``qe.equals``.  It counts four kinds of work and one size:
+carrier with ``qe.equals``.  It counts five kinds of work and one size:
 
 * ``cells``: ``qe.Cell`` objects built, by the constructor or by
   ``qe.Cell.extended``;
@@ -20,6 +20,9 @@ carrier with ``qe.equals``.  It counts four kinds of work and one size:
   the last step of an emptiness decision, a comparison of two bounds,
   not;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included;
+* ``table_clears``: ``qe._remember`` calls that find the engine table
+  full, at ``qe._TABLE_LIMIT`` entries, and so clear it: each clear drops
+  every entry the op has stored since its start or the last clear;
 * ``table_entries_max``: the most entries the one ``qe`` engine table
   (``qe._table``, filled through ``qe._remember``) holds during one
   instance's op, the footprint to weigh against its bound
@@ -47,8 +50,8 @@ N4 = [(s, 4, 5) for s in range(1, 7)]
 
 
 def install(counts: dict, peak: list) -> None:
-    """Count calls of the wrapped functions in ``counts``; keep the largest
-    engine table size in ``peak[0]``."""
+    """Count calls of the wrapped functions and table clears in ``counts``;
+    keep the largest engine table size in ``peak[0]``."""
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -77,6 +80,8 @@ def install(counts: dict, peak: list) -> None:
 
     @functools.wraps(remember)
     def measured(key, value):
+        if len(qe._table) >= qe._TABLE_LIMIT:
+            counts["table_clears"] += 1
         value = remember(key, value)
         peak[0] = max(peak[0], len(qe._table))
         return value
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
     corpus = N4 if args.n == 4 else [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
     instances = [instance_from_json(instance_to_json(random_downset(s, n, b)))
                  for s, n, b in corpus]
-    counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell"), 0)
+    counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell", "table_clears"), 0)
     peak = [0]
     install(counts, peak)
     per_n: dict[int, dict] = {}

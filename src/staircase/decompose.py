@@ -74,10 +74,8 @@ def primary_component(tau: Face, table: SocleTable) -> PrimaryComponent:
                for sigma in all_faces(iv.dim) if tau.coords <= sigma.coords]
     pieces = qe.union(qe.empty(iv.dim), *(
         coprincipal(e.degrees, tau, e.sigma).carrier for e in entries if not e.is_zero()))
-    down_part = Downset(qe.intersect(iv.downset.carrier, pieces))
-    carrier = qe.intersect(iv.upset.carrier, down_part.carrier)
-    component = Interval(iv.upset, down_part, carrier)
-    hull = Downset(qe.minkowski(carrier, orthant_cell(iv.dim, negative=True)))
+    component = Interval(iv.upset, Downset(qe.intersect(iv.downset.carrier, pieces)))
+    hull = Downset(qe.minkowski(component.carrier, orthant_cell(iv.dim, negative=True)))
     return PrimaryComponent(tau, component, hull)
 
 

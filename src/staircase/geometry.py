@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -245,36 +245,31 @@ class Upset:
 
 @dataclass(frozen=True)
 class Interval:
-    """Intersection of an upset and a downset, with the pair remembered."""
+    """Intersection of an upset and a downset, with the pair remembered; the
+    carrier is the canonical form of their meet."""
 
     upset: Upset
     downset: Downset
-    carrier: PLSet
+    carrier: PLSet = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.upset.dim != self.downset.dim or self.carrier.dim != self.upset.dim:
+        if self.upset.dim != self.downset.dim:
             raise DimensionMismatch("interval parts of different dimensions")
-        expected = qe.intersect(self.upset.carrier, self.downset.carrier)
-        if not qe.equals(self.carrier, expected):
-            raise ValidationError("interval carrier differs from upset-meet-downset")
-        object.__setattr__(self, "carrier", qe.canonicalize(self.carrier))
+        carrier = qe.canonicalize(qe.intersect(self.upset.carrier, self.downset.carrier))
+        object.__setattr__(self, "carrier", carrier)
 
     @property
     def dim(self) -> int:
         return self.carrier.dim
 
 
-def interval(upset: Upset, downset: Downset) -> Interval:
-    return Interval(upset, downset, qe.intersect(upset.carrier, downset.carrier))
-
-
 def as_interval(m: "Downset | Upset | Interval") -> Interval:
     if isinstance(m, Interval):
         return m
     if isinstance(m, Downset):
-        return Interval(Upset(qe.universe(m.dim)), m, m.carrier)
+        return Interval(Upset(qe.universe(m.dim)), m)
     if isinstance(m, Upset):
-        return Interval(m, Downset(qe.universe(m.dim)), m.carrier)
+        return Interval(m, Downset(qe.universe(m.dim)))
     raise TypeError(f"cannot view {type(m).__name__} as an interval")
 
 
@@ -287,9 +282,7 @@ def reflect_upset(u: Upset) -> Downset:
 
 
 def reflect_interval(i: Interval) -> Interval:
-    return Interval(
-        reflect_downset(i.downset), reflect_upset(i.upset), qe.reflect(i.carrier)
-    )
+    return Interval(reflect_downset(i.downset), reflect_upset(i.upset))
 
 
 # ---------------------------------------------------------------------------

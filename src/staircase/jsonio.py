@@ -14,7 +14,7 @@ from typing import Any
 from .decompose import IrreducibleFamily, MinimalityReport, PrimaryDecomposition
 from .discrete import DiscreteDecomposition, DiscreteDownset, DiscreteIdeal
 from .errors import InputFormatError
-from .geometry import Cell, Downset, Face, Interval, PLSet, Upset, interval
+from .geometry import Cell, Downset, Face, Interval, PLSet, Upset
 from .rationals import HalfSpace, format_rational, parse_rational
 from .socle import SocleEntry, SocleTable
 
@@ -159,7 +159,7 @@ def instance_from_json(obj: Any, where: str = "instance"):
     if kind == "interval":
         u = Upset(plset_from_json(obj.get("upset"), f"{where}.upset"))
         d = Downset(plset_from_json(obj.get("downset"), f"{where}.downset"))
-        return interval(u, d)
+        return Interval(u, d)
     if kind == "discrete":
         return discrete_from_json(obj, where)
     raise InputFormatError(

@@ -36,7 +36,6 @@ from .geometry import (
     Upset,
     all_faces,
     face_interior,
-    interval,
     reflect_downset,
     reflect_upset,
     shape_at,
@@ -423,9 +422,9 @@ def random_interval(seed: int, n: int, cell_budget: int = 6) -> Interval:
     for bump in range(200):
         d = random_downset(seed * 1000003 + 2 * bump, n, cell_budget)
         u = random_upset(seed * 7777783 + 2 * bump + 1, n, cell_budget)
-        carrier = qe.intersect(u.carrier, d.carrier)
-        if not qe.is_empty(carrier):
-            return interval(u, d)
+        iv = Interval(u, d)
+        if not qe.is_empty(iv.carrier):
+            return iv
     raise ValidationError("could not generate a nonempty interval")
 
 

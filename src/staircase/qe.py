@@ -60,9 +60,9 @@ def _normalize_constraints(
     """Drop trivial constraints, dedup, keep the tightest of parallel bounds.
 
     Returns ``None`` when a constant contradiction makes the cell empty.
-    With ``by_normal``, normalized rows without the false row indexed by
-    normal, the result is those rows followed by ``constraints``, normalized
-    into that dict.
+    ``by_normal`` is the row index of the cell being built (normalized rows
+    without the false row, by normal); the result is its rows followed by
+    ``constraints``, normalized into it.  An FM step passes none.
     """
     if by_normal is None:
         by_normal = {}
@@ -98,30 +98,41 @@ class Cell:
     The constructor normalizes the rows once (:func:`_normalize_constraints`):
     no trivially true rows, no duplicates, only the tightest of parallel
     bounds.  A constant contradiction is stored as the one canonical false
-    row ``0 <= -1``.  The frozen set of the rows, ``rowset``, and its hash
-    with ``dim`` are stored when the cell is built, and a cell compares and
-    hashes by ``dim`` and ``rowset``: two cells are equal when they have the
-    same rows in any order, so a cell is its own cache key.  The universe
-    cell has no rows in every dimension, so ``dim`` is part of that key."""
+    row ``0 <= -1``.  The rows indexed by normal, ``_rows``, the frozen set
+    of the rows, ``rowset``, and its hash with ``dim`` are stored when the
+    cell is built, and a cell compares and hashes by ``dim`` and ``rowset``:
+    two cells are equal when they have the same rows in any order, so a cell
+    is its own cache key.  The universe cell has no rows in every dimension,
+    so ``dim`` is part of that key."""
 
     dim: int
     constraints: tuple[HalfSpace, ...] = field(default=(), compare=False)
     rowset: frozenset[HalfSpace] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(self.constraints)
-        for h in rows:
+        self._build({}, tuple(self.constraints))
+
+    def _build(self, rows: dict[tuple[int, ...], HalfSpace], extra: Sequence[HalfSpace]) -> None:
+        """Set the cell's rows: those of the index ``rows`` followed by
+        ``extra``, which is checked for dimension and normalized into
+        ``rows``; ``rows`` becomes the cell's index ``_rows``.  A
+        contradiction, or the false cell's index in ``rows``, leaves the one
+        false row."""
+        for h in extra:
             if len(h.normal) != self.dim:
                 raise DimensionMismatch(
                     f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
                 )
-        rows = _normalize_constraints(rows)
-        if rows is None:
-            rows = (_false_row(self.dim),)
-        rowset = frozenset(rows)
-        object.__setattr__(self, "constraints", rows)
-        object.__setattr__(self, "rowset", rowset)
-        object.__setattr__(self, "_hash", hash((self.dim, rowset)))
+        if len(rows) == 1 and not any(next(iter(rows))):  # the false cell's row
+            norm = None
+        else:
+            norm = _normalize_constraints(extra, rows)
+        if norm is None:
+            false = _false_row(self.dim)
+            rows, norm = {false.normal: false}, (false,)
+        rowset = frozenset(norm)
+        self.__dict__.update(constraints=norm, rowset=rowset, _rows=rows,
+                             _hash=hash((self.dim, rowset)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -138,55 +149,32 @@ class Cell:
         """The cell ``{-x : x in self}``; constraint order is kept."""
         return Cell(self.dim, tuple(h.reflected() for h in self.constraints))
 
-    def _row(self, normal: tuple[int, ...]) -> HalfSpace | None:
-        """The row with this normal, if any (normalized rows have one per
-        normal); the index is built on first use."""
-        if "_rows" not in self.__dict__:
-            object.__setattr__(self, "_rows", {h.normal: h for h in self.constraints})
-        return self.__dict__["_rows"].get(normal)
-
     def extended(self, extra: Sequence[HalfSpace], omit: Iterable[HalfSpace] = ()) -> "Cell":
         """``Cell(self.dim, rows + extra)``, with ``rows`` this cell's rows
         without those in ``omit``: the same ``constraints`` in the same order.
 
-        Only the rows of ``extra`` are checked and normalized, by
-        :func:`_normalize_constraints` into a copy of the row index
-        (:meth:`_row`), which becomes the new cell's index.  The query cells
-        of the difference sweep, the absorb and the redundant-row pass are
-        built here: each adds a row or a few to a cell of a few rows."""
-        for h in extra:
-            if len(h.normal) != self.dim:
-                raise DimensionMismatch(
-                    f"constraint of dimension {h.dim} in cell of dimension {self.dim}"
-                )
-        rows = self.__dict__.get("_rows")
-        rows = {h.normal: h for h in self.constraints} if rows is None else dict(rows)
+        Only the rows of ``extra`` are checked and normalized, into a copy
+        of the row index.  The query cells of the difference sweep, the
+        absorb and the redundant-row pass are built here: each adds a row or
+        a few to a cell of a few rows."""
+        rows = dict(self._rows)
         for h in omit:
             del rows[h.normal]
         out = object.__new__(Cell)
-        if len(rows) == 1 and not any(next(iter(rows))):  # the false cell's row
-            norm = None
-        else:
-            norm = _normalize_constraints(extra, rows)
-        if norm is None:
-            norm = (_false_row(self.dim),)
-        else:
-            out.__dict__["_rows"] = rows
-        rowset = frozenset(norm)
-        out.__dict__.update(dim=self.dim, constraints=norm, rowset=rowset,
-                            _hash=hash((self.dim, rowset)))
+        out.__dict__["dim"] = self.dim
+        out._build(rows, extra)
         return out
 
     def implies(self, h: HalfSpace) -> bool:
         """True when the row parallel to ``h`` is at least as tight (a smaller
         offset, or equal and strict if ``h`` is), so ``self and not h`` is empty."""
-        r = self._row(h.normal)
+        r = self._rows.get(h.normal)
         return r is not None and (r.num * h.den, not r.strict) <= (h.num * r.den, not h.strict)
 
     def excludes(self, h: HalfSpace) -> bool:
         """True when the row opposite to ``h``, ``h.normal . x >= -r.offset``,
         leaves ``h`` no room, so ``self and h`` is empty."""
-        r = self._row(tuple(map(neg, h.normal)))
+        r = self._rows.get(tuple(map(neg, h.normal)))
         return r is not None and (-r.num * h.den, r.strict or h.strict) > (h.num * r.den, False)
 
 

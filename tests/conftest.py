@@ -7,10 +7,10 @@ import pytest
 
 from staircase import (
     Downset,
+    Interval,
     Upset,
     cell,
     halfspace,
-    interval,
     plset,
 )
 
@@ -58,7 +58,7 @@ def triangle_plus_ray():
     horizontal ray {x >= 0, y = 0}, as an interval of R^2_+."""
     u = Upset(plset(2, cell(2, hs([-1, 0], 0), hs([0, -1], 0))))
     d = Downset(plset(2, cell(2, hs([1, 1], 1)), cell(2, hs([0, 1], 0))))
-    return interval(u, d)
+    return Interval(u, d)
 
 
 def rational_grid(lo, hi, step):

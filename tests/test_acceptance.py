@@ -320,13 +320,11 @@ def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
     # unless canonicalize absorbs cells contained in others at every size.
     # Its FM work is pinned by the row pairs the FM steps partition out
-    # (qe._partition) from cold caches: 20,876 with one engine table keyed
-    # on the cells, 23,977 since emptiness decides the last step by
-    # comparing two bounds.  Counted at every qe._fm_step
-    # before that: 25,443 with the qe memos, 25,484 without (23,841 with
-    # the escape set of socle.max_along condensed); 120,906 when socle
-    # degrees came from the nadir strata, and 72,700 with FM in ascending
-    # index order instead of the greedy one.
+    # (qe._partition) from cold caches: 22,531.  The bound leaves room for
+    # changes that move the count a little and still fails the designs it
+    # guards against, which combined more than 60,000 pairs: socle degrees
+    # from the nadir strata, or FM in ascending index order instead of the
+    # greedy one.
     pairs = [0]
     partition = qe._partition
 

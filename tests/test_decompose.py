@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from staircase import (
     Downset,
     FaceError,
+    Interval,
     Upset,
     cell,
     coprincipal,
@@ -17,7 +18,6 @@ from staircase import (
     face,
     fringe_presentation,
     full_face,
-    interval,
     irreducible_family,
     is_coprimary,
     is_empty,
@@ -245,7 +245,7 @@ def test_fringe_of_downset(half_plane):
 def test_fringe_of_closed_box():
     u = Upset(plset(2, cell(2, hs([-1, 0], 0), hs([0, -1], 0))))
     d = Downset(plset(2, cell(2, hs([1, 0], 1), hs([0, 1], 1))))
-    box = interval(u, d)
+    box = Interval(u, d)
     fp = fringe_presentation(box)
     assert len(fp.hull) == 1
     assert fp.validation

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from staircase import (
     Downset,
+    Interval,
     Upset,
     ValidationError,
     all_faces,
@@ -20,6 +21,7 @@ from staircase import (
     face_interior,
     frontier,
     full_face,
+    intersect,
     is_downset,
     is_empty,
     is_subset,
@@ -33,13 +35,21 @@ from staircase import (
     project_mod,
     quotient_restrict,
     random_downset,
+    random_interval,
     reflect,
     shape_at,
     universe,
     upper_boundary,
     zero_face,
 )
-from staircase.geometry import Shape, indicator_vector, lower_boundary_direct, orthant_cell
+from staircase.geometry import (
+    Shape,
+    as_interval,
+    indicator_vector,
+    lower_boundary_direct,
+    orthant_cell,
+    reflect_interval,
+)
 from staircase.oracle import boundary_degrees_direct
 
 from conftest import hs, rational_grid
@@ -358,3 +368,23 @@ def test_lower_boundary_routes_agree(seed):
         a = lower_boundary(u, xi)
         b = lower_boundary_direct(u, xi)
         assert equals(a.carrier, b.carrier)
+
+
+# --- intervals ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(22_000, 22_010))
+def test_interval_carrier_is_the_meet(seed, n):
+    # An interval derives its carrier from its two parts; the reflected
+    # interval's carrier is the reflection of the carrier.
+    i = random_interval(seed, n, 3)
+    assert equals(Interval(i.upset, i.downset).carrier,
+                  intersect(i.upset.carrier, i.downset.carrier))
+    assert equals(reflect_interval(i).carrier, reflect(i.carrier))
+
+
+@pytest.mark.parametrize("seed, n, budget", [(0, 2, 8), (1, 2, 8), (10_000, 3, 5)])
+def test_as_interval_keeps_the_carrier(seed, n, budget):
+    d = random_downset(seed, n, budget)
+    assert equals(as_interval(d).carrier, d.carrier)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from staircase import (
     Downset,
     FaceError,
+    Interval,
     Upset,
     ValidationError,
     all_faces,
@@ -27,7 +28,6 @@ from staircase import (
     face,
     frontier,
     full_face,
-    interval,
     is_dense_family,
     is_empty,
     is_subset,
@@ -453,7 +453,7 @@ def test_triangle_plus_ray_socle(triangle_plus_ray):
 def test_empty_interior_interval_warns():
     u = Upset(plset(2, cell(2, hs([-1, 0], 0), hs([0, -1], 0))))
     d = Downset(plset(2, cell(2, hs([0, 1], 0))))
-    ray = interval(u, d)  # the closed ray {x >= 0, y = 0}
+    ray = Interval(u, d)  # the closed ray {x >= 0, y = 0}
     with pytest.warns(UserWarning, match="empty interior"):
         socle_table(ray)
 
