@@ -157,7 +157,7 @@ def _decompose_irreducible(m, args):
 
 
 def _dense_check(m, args):
-    family = jsonio.family_from_json(_read_json(args.family), where=args.family)
+    family = jsonio.family_from_json(_read_json(args.family), m.dim, where=args.family)
     rep = density_report(family, socle_table(m))
     failures = [
         {"tau": face_to_json(t), "sigma": face_to_json(s), "witness": [str(x) for x in w]}

@@ -35,19 +35,19 @@ def coprincipal(a: PLSet, tau: Face, sigma: Face) -> Downset:
     """The downset ``a + R*tau - (sigma-interior + R^n_+)``.
 
     Translation along ``R*tau`` first makes the result a union of one
-    coprincipal downset per coset of the degrees.  Memoized on ``a``, so
-    :func:`reconstruct` reuses what :func:`primary_component` built.
+    coprincipal downset per coset of the degrees.  Not memoized:
+    :func:`reconstruct` builds again what :func:`primary_component` built,
+    from the Minkowski sums and canonical forms in the engine table.  That
+    adds no FM run on the decompose corpus (``scripts/work_counts.py``);
+    on the n=4 instances it adds only what the one table clear during
+    seed 6 drops (fm 9,051 with a memo of this function, 9,198 without).
     """
     if not tau.coords <= sigma.coords:
         raise FaceError("sigma must contain tau")
     if tau.dim != a.dim or sigma.dim != a.dim:
         raise FaceError("face dimension mismatch")
-    memo = a.__dict__.setdefault("_coprincipal", {})
-    if (tau, sigma) not in memo:
-        swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
-        hang = upset_cone_cell(sigma, negative=True)
-        memo[(tau, sigma)] = Downset(qe.minkowski(swept, hang))
-    return memo[(tau, sigma)]
+    swept = qe.minkowski(a, line_cell(tau)) if tau.coords else a
+    return Downset(qe.minkowski(swept, upset_cone_cell(sigma, negative=True)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def reconstruct(family: IrreducibleFamily, base: Downset | Interval) -> PLSet:
     total = qe.union(qe.empty(base.dim), *(
         coprincipal(degrees, tau, sigma).carrier
         for tau, sigma, degrees in family.entries if not qe.is_empty(degrees)))
-    # Pays in FM runs: without it, 26,901 -> 27,012 at n=4, 45,178 -> 45,239 at n<=3.
+    # Pays in FM runs (scripts/work_counts.py): without this condense,
+    # 9,198 -> 9,300 at n=4 and 24,297 -> 24,298 at n<=3.
     return qe.canonicalize(qe.intersect(qe.condense(total), base.carrier))
 
 

@@ -12,10 +12,9 @@ to ``B + 1`` without changing any truth value.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -150,14 +149,14 @@ class DiscreteComponent:
     ideal: DiscreteIdeal
     tau: frozenset[int]
     reps: tuple[IVec, ...]
+    _off: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the axes not in tau
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_off", tuple(j for j in range(self.dim) if j not in self.tau))
 
     @property
     def dim(self) -> int:
         return self.ideal.dim
-
-    @functools.cached_property
-    def _off(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.dim) if j not in self.tau)
 
     def contains(self, a: Sequence[int]) -> bool:
         if any(x < 0 for x in a) or self.ideal.in_ideal(a):

@@ -345,20 +345,22 @@ def _rows_empty(constraints: Sequence[HalfSpace], used: set[int]) -> bool:
     return lhs > rhs or (lhs == rhs and (lo_strict or up_strict))
 
 
-# The engine table: the memos of the pure cell-level work that repeats within
-# one op, keyed on ``(tag, *cells)`` (a cell is its own key, see
-# :class:`Cell`): ``"empty"`` (:func:`is_empty_cell`), ``"split"`` (the split
-# of a piece by a subtrahend cell in :func:`_subtract_cells`), ``"subset"``
-# (:func:`_cell_subset_of_cell`), ``"reduced"``
-# (:func:`_drop_redundant_constraints`) and ``"cone"`` (the sum of a cell and
-# one axis cone in :func:`minkowski`).  It is cleared wholesale when it
-# reaches ``_TABLE_LIMIT`` entries.  Unbounded, one op fills it to at most
-# 3,261 entries on the benchmark's decompose ops, 3,427 on its verify mix and
-# 11,367 on the n=4 instances ``random_downset(s, 4, 5)``, s = 1-6 (so seed 6
-# clears it once), but the benchmark's membership set-up builds the
-# boundaries of 125 instances with no clear in between (14,080 entries), and
-# a larger bound keeps those cells alive.  Membership benchmark peak RSS on a
-# 2-vCPU machine (seeds 11-13), per bound: 38.6-39.0 MB at 300,000,
+# The engine table, the engine's only memo: the pure work that repeats within
+# one op, keyed on a tag and the values it depends on (a cell is its own key,
+# see :class:`Cell`; a PL set compares by its cells): ``"empty"``
+# (:func:`is_empty_cell`), ``"split"`` (the split of a piece by a subtrahend
+# cell in :func:`_subtract_cells`), ``"subset"`` (:func:`_cell_subset_of_cell`),
+# ``"reduced"`` (:func:`_drop_redundant_constraints`), ``"cone"`` (the sum of
+# a cell and one axis cone in :func:`minkowski`), ``"canonical"``
+# (:func:`canonicalize`) and ``"boundary"`` (``socle.boundary_degrees``).  It
+# is cleared wholesale when it reaches ``_TABLE_LIMIT`` entries.  Unbounded,
+# one op fills it to at most 3,275 entries on the benchmark's decompose ops,
+# 3,448 on its verify mix and 11,404 on the n=4 instances
+# ``random_downset(s, 4, 5)``, s = 1-6 (so seed 6 clears it once), but the
+# benchmark's membership set-up builds the boundaries of 125 instances with
+# no clear in between (14,641 entries), and a larger bound keeps those cells
+# alive.  Membership benchmark peak RSS on a 2-vCPU machine (seeds 11-13),
+# per bound, measured at commit 045b5fe: 38.6-39.0 MB at 300,000,
 # 36.2-39.7 MB at 16,384 and 34.9-35.5 MB at 8,192, against 34.6-36.0 MB
 # with a 300,000-entry emptiness cache and four 512-entry memos.
 _table: dict[tuple, object] = {}
@@ -375,9 +377,10 @@ def _remember(key: tuple, value):
 
 
 def clear_caches() -> None:
-    """Empty the engine table ``_table``.  Every read of it is one ``.get``,
-    so a concurrent clear never makes one fail.  The axis cells of
-    ``geometry._axis_cell`` are constants and stay."""
+    """Empty the engine table ``_table``, and with it every memo: a reused
+    value starts cold.  Every read of it is one ``.get``, so a concurrent
+    clear never makes one fail.  The axis cells of ``geometry._axis_cell``
+    are constants and stay."""
     _table.clear()
 
 
@@ -565,26 +568,30 @@ def canonicalize(s: PLSet) -> PLSet:
     """Cleanup pass, one fixed pipeline at every size: :func:`_light_cleanup`
     (drop empty cells, dedup, syntactic absorb), drop each cell's redundant
     rows, then drop every cell contained in another single cell.  The
-    denoted set never changes.
+    denoted set never changes.  The result is stored in the engine table
+    under its input and under itself, so a canonical set is its own
+    canonical form.
 
     The pairwise absorb is quadratic but has no size cutoff: with a cutoff
     at 24 cells, ``random_downset(6, 4, 5)`` did not decompose in 900 s,
     against about 7 s without one.  Decomposing and reconstructing the
     seeded corpus (``random_downset`` n=2 seeds 0-99, n=3 seeds
-    10000-10024) takes 6-8 s with absorb and 17-18 s without on a 2-vCPU
-    machine.  Dropping rows cannot empty a cell, and absorb covers the dedup
-    and syntactic absorb of a second light cleanup, so there is none."""
-    if s.__dict__.get("_canonical_deep"):
-        return s
+    10000-10024) took 6-8 s with absorb and 17-18 s without on a 2-vCPU
+    machine.  Those times were measured at commit 12325a0, on a far slower
+    engine: a corpus pass now takes about 0.9 s.  Dropping rows cannot
+    empty a cell, and absorb covers the dedup and syntactic absorb of a
+    second light cleanup, so there is none."""
+    hit = _table.get(("canonical", s))
+    if hit is not None:
+        return hit
     cells_ = _light_cleanup(s.cells)
     cells_ = tuple(_drop_redundant_constraints(c) for c in cells_)
     # of two equal cells, the first is kept
     kept = tuple(c for i, c in enumerate(cells_) if not any(
         _cell_subset_of_cell(c, other) and (j < i or not _cell_subset_of_cell(other, c))
         for j, other in enumerate(cells_) if j != i))
-    result = PLSet(s.dim, kept)
-    object.__setattr__(result, "_canonical_deep", True)
-    return result
+    result = _remember(("canonical", s), PLSet(s.dim, kept))
+    return _remember(("canonical", result), result)
 
 
 def condense(s: PLSet) -> PLSet:
@@ -596,7 +603,7 @@ def condense(s: PLSet) -> PLSet:
     covered by the union of the others) does not pay, since the difference
     sweep leaves the pieces a subtrahend misses unsplit: with it, decomposing
     the seeded corpus (as in :func:`canonicalize`) took 34 s instead of 22 s
-    on a 2-vCPU machine."""
+    on a 2-vCPU machine, measured at commit a6445af on a far slower engine."""
     return canonicalize(s)
 
 

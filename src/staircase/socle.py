@@ -8,7 +8,7 @@ degreewise on piecewise-linear carriers:
 
 * boundary degrees atop ``sigma``: the upper boundary of the downset part,
   cut down to the upset part plus the relative interior of ``sigma``,
-  memoized per instance (the frontier reads the full-face one);
+  memoized in the engine table (the frontier reads the full-face one);
 * the closed-socle step keeps the degrees atop ``sigma`` that are maximal
   modulo ``tau``;
 * the nadir stratification then subtracts the downset part's upper
@@ -118,13 +118,15 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
 
     For a downset ``U + sigma-interior`` is all of ``R^n``, so the result is
     the upper boundary itself; at the zero face it is the carrier.  The
-    result is memoized on ``m`` (an interval's upper boundary on its
-    downset part), so a socle table and the oracle checks built on the
-    same instance share one computation per face.
+    result is stored in the engine table under ``("boundary", m, sigma)``
+    (an interval's upper boundary under its downset part), so a socle
+    table and the oracle checks on the same instance share one computation
+    per face until ``qe.clear_caches``.
     """
-    memo = m.__dict__.setdefault("_boundary_degrees", {})
-    if sigma in memo:
-        return memo[sigma]
+    key = ("boundary", m, sigma)
+    hit = qe._table.get(key)
+    if hit is not None:
+        return hit
     if isinstance(m, Downset):
         result = upper_boundary(m, sigma).carrier
     elif not sigma.coords:
@@ -135,14 +137,14 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
             boundary_degrees(iv.downset, sigma),
             qe.minkowski(iv.upset.carrier, face_interior(sigma)),
         )
-    memo[sigma] = result
-    return result
+    return qe._remember(key, result)
 
 
 def frontier(d: Downset) -> PLSet:
     """Points of the closure outside the downset, computed two ways.  The
-    boundary route reads the full-face boundary from the instance's memo,
-    so after a socle table it builds no boundary of its own."""
+    boundary route reads the full-face boundary from the engine table, so
+    after a socle table from the same cold start it builds no boundary of
+    its own."""
     via_boundary = qe.difference(boundary_degrees(d, full_face(d.dim)), d.carrier)
     via_closure = qe.difference(qe.closure(d.carrier), d.carrier)
     if not qe.equals(via_boundary, via_closure):

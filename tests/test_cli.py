@@ -10,6 +10,7 @@ from staircase import (
     equals,
     face,
     plset,
+    random_downset,
     random_upset,
     socle_table,
     top_table,
@@ -107,6 +108,21 @@ def test_dense_check(capsys, tmp_path, triangle_path, triangle_quotient):
     fam_path.write_text(dumps(socle_table_to_json(table)))
     code, data = run_json(capsys, "dense-check", "--family", str(fam_path), triangle_path)
     assert code == 0 and data["dense"] is True
+
+
+def test_dense_check_rejects_a_family_of_another_dimension(capsys, tmp_path, triangle_quotient):
+    # a family of the planar triangle checked against a 3-dimensional downset,
+    # with its entries and without any
+    instance = tmp_path / "d3.json"
+    instance.write_text(dumps(instance_to_json(random_downset(10014, 3, 5))))
+    family = socle_table_to_json(socle_table(triangle_quotient))
+    for entries in (family["entries"], {}):
+        fam_path = tmp_path / "family.json"
+        fam_path.write_text(dumps({**family, "entries": entries}))
+        code = run(["dense-check", "--family", str(fam_path), str(instance)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{fam_path}.dim" in err and "dimension 2" in err and "dimension 3" in err
 
 
 def test_fringe(capsys, tri_ray_path):

@@ -769,9 +769,75 @@ def test_clear_caches_empties_every_engine_table():
 
     assert list(_engine_tables()) == ["_table"]  # the one engine table
     primary_decomposition(random_downset(10014, 3, 5))
-    assert {key[0] for key in qe._table} == {"empty", "split", "subset", "reduced", "cone"}
+    assert {key[0] for key in qe._table} == {"empty", "split", "subset", "reduced", "cone",
+                                             "canonical", "boundary"}
     clear_caches()
     assert not qe._table
+
+
+def _random_module(kind, seed, n, budget):
+    import staircase
+
+    return getattr(staircase, f"random_{kind}")(seed, n, budget)
+
+
+@pytest.mark.parametrize("kind, seed, budget",
+                         [("downset", 3, 8), ("interval", 22000, 3), ("upset", 21000, 4)])
+def test_no_value_is_written_to_after_it_is_built(kind, seed, budget):
+    # the engine table is the engine's only memo: the public ops leave every
+    # instance, carrier, socle entry and component as it was built
+    from dataclasses import fields
+
+    from staircase import (Downset, Interval, frontier, irreducible_family,
+                           primary_decomposition, reconstruct, socle_table)
+
+    m = _random_module(kind, seed, 2, budget)
+    clear_caches()
+    pd = primary_decomposition(m)
+    table = socle_table(m)
+    plsets = [reconstruct(irreducible_family(m, table=table), m)]
+    if isinstance(m, Downset):
+        plsets.append(frontier(m))
+    modules = [m, pd.base, table.base]
+    for comp in pd.components.values():
+        modules += [comp.interval, comp.hull]
+    modules += [part for module in modules if isinstance(module, Interval)
+                for part in (module.upset, module.downset)]
+    for module in modules:
+        assert set(vars(module)) == {f.name for f in fields(module)}, module
+        plsets.append(module.carrier)
+    for t in (pd.table, table):
+        for e in t.entries.values():
+            plsets += [e.degrees, e.cosets]
+    for s in plsets:
+        assert set(vars(s)) == {"dim", "cells"}
+    clear_caches()
+
+
+@pytest.mark.parametrize("kind, seed, n, budget",
+                         [("downset", 10014, 3, 5), ("interval", 22000, 2, 3)])
+def test_clear_caches_gives_a_reused_instance_a_cold_start(kind, seed, n, budget, monkeypatch):
+    # a second decomposition of the same instance after a clear does the
+    # same emptiness work as the first
+    from staircase import primary_decomposition
+
+    m = _random_module(kind, seed, n, budget)
+    calls = [0]
+    rows_empty = qe._rows_empty
+
+    def counted(*args):
+        calls[0] += 1
+        return rows_empty(*args)
+
+    monkeypatch.setattr(qe, "_rows_empty", counted)
+    counts = []
+    for _ in range(2):
+        clear_caches()
+        calls[0] = 0
+        primary_decomposition(m)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+    clear_caches()
 
 
 def test_memo_tables_never_exceed_their_bound(monkeypatch):
