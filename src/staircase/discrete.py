@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -149,10 +149,6 @@ class DiscreteComponent:
     ideal: DiscreteIdeal
     tau: frozenset[int]
     reps: tuple[IVec, ...]
-    _off: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the axes not in tau
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_off", tuple(j for j in range(self.dim) if j not in self.tau))
 
     @property
     def dim(self) -> int:
@@ -161,7 +157,7 @@ class DiscreteComponent:
     def contains(self, a: Sequence[int]) -> bool:
         if any(x < 0 for x in a) or self.ideal.in_ideal(a):
             return False
-        off = self._off
+        off = [j for j in range(self.dim) if j not in self.tau]
         return any(all(a[j] <= rep[j] for j in off) for rep in self.reps)
 
     def complement_ideal_generators(self) -> tuple[IVec, ...]:

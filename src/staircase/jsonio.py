@@ -239,22 +239,20 @@ def _parse_face_pair_key(key: str, dim: int, where: str) -> tuple[Face, Face]:
     )
 
 
-def family_from_json(
-    obj: Any, dim: int | None = None, where: str = "family"
-) -> dict[tuple[Face, Face], PLSet]:
-    """A socle-table-shaped family of coset sets, keyed by face pairs.  With
-    ``dim``, the instance dimension, the family's ``dim`` must equal it."""
+def family_from_json(obj: Any, dim: int, where: str = "family") -> dict[tuple[Face, Face], PLSet]:
+    """A socle-table-shaped family of coset sets, keyed by face pairs; its
+    ``dim`` must equal ``dim``, the instance dimension."""
     _expect(isinstance(obj, dict), where, "expected an object")
     got = obj.get("dim")
     _expect(isinstance(got, int) and not isinstance(got, bool) and got > 0,
             f"{where}.dim", "expected a positive integer dimension")
-    _expect(dim in (None, got), f"{where}.dim",
+    _expect(got == dim, f"{where}.dim",
             f"family of dimension {got} for an instance of dimension {dim}")
     entries = obj.get("entries")
     _expect(isinstance(entries, dict), f"{where}.entries", "expected an object")
     out: dict[tuple[Face, Face], PLSet] = {}
     for key, val in entries.items():
-        tau, sigma = _parse_face_pair_key(key, got, f"{where}.entries[{key!r}]")
+        tau, sigma = _parse_face_pair_key(key, dim, f"{where}.entries[{key!r}]")
         _expect(isinstance(val, dict) and "cosets" in val,
                 f"{where}.entries[{key!r}]", "expected an object with 'cosets'")
         out[(tau, sigma)] = plset_from_json(val["cosets"], f"{where}.entries[{key!r}].cosets")

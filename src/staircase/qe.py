@@ -352,7 +352,8 @@ def _rows_empty(constraints: Sequence[HalfSpace], used: set[int]) -> bool:
 # cell in :func:`_subtract_cells`), ``"subset"`` (:func:`_cell_subset_of_cell`),
 # ``"reduced"`` (:func:`_drop_redundant_constraints`), ``"cone"`` (the sum of
 # a cell and one axis cone in :func:`minkowski`), ``"canonical"``
-# (:func:`canonicalize`) and ``"boundary"`` (``socle.boundary_degrees``).  It
+# (:func:`canonicalize`) and ``"boundary"`` (``socle.boundary_degrees``).
+# Only this module touches it; other modules store through :func:`memo`.  It
 # is cleared wholesale when it reaches ``_TABLE_LIMIT`` entries.  Unbounded,
 # one op fills it to at most 3,275 entries on the benchmark's decompose ops,
 # 3,448 on its verify mix and 11,404 on the n=4 instances
@@ -374,6 +375,15 @@ def _remember(key: tuple, value):
         _table.clear()
     _table[key] = value
     return value
+
+
+def memo(key: tuple, compute, *args):
+    """The engine table's entry under ``key``, stored as ``compute(*args)``
+    on a miss."""
+    hit = _table.get(key)
+    if hit is not None:
+        return hit
+    return _remember(key, compute(*args))
 
 
 def clear_caches() -> None:
@@ -570,7 +580,8 @@ def canonicalize(s: PLSet) -> PLSet:
     rows, then drop every cell contained in another single cell.  The
     denoted set never changes.  The result is stored in the engine table
     under its input and under itself, so a canonical set is its own
-    canonical form.
+    canonical form; an input already canonical equals its result, so it
+    takes one entry.
 
     The pairwise absorb is quadratic but has no size cutoff: with a cutoff
     at 24 cells, ``random_downset(6, 4, 5)`` did not decompose in 900 s,
@@ -651,11 +662,7 @@ def _subtract_cells(
     for b in cells_:
         nxt: list[Cell] = []
         for p in pieces:
-            key = ("split", p, b)
-            split = _table.get(key)
-            if split is None:
-                split = _remember(key, _split(p, b))
-            nxt.extend(split)
+            nxt.extend(memo(("split", p, b), _split, p, b))
         _check_budget(len(nxt), where)
         pieces = list(_light_cleanup(nxt))
         if not pieces:
@@ -797,11 +804,7 @@ def minkowski(s: PLSet, k: Cell | PLSet) -> PLSet:
     out: list[Cell] = []
     for a in s.cells:
         for b, steps in cones:
-            key = ("cone", a, b)
-            summed = _table.get(key)
-            if summed is None:
-                summed = _remember(key, _add_cone(a, steps))
-            out.extend(summed)
+            out.extend(memo(("cone", a, b), _add_cone, a, steps))
     return PLSet(s.dim, _light_cleanup(out))
 
 

@@ -123,21 +123,19 @@ def boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
     table and the oracle checks on the same instance share one computation
     per face until ``qe.clear_caches``.
     """
-    key = ("boundary", m, sigma)
-    hit = qe._table.get(key)
-    if hit is not None:
-        return hit
+    return qe.memo(("boundary", m, sigma), _boundary_degrees, m, sigma)
+
+
+def _boundary_degrees(m: Downset | Upset | Interval, sigma: Face) -> PLSet:
     if isinstance(m, Downset):
-        result = upper_boundary(m, sigma).carrier
-    elif not sigma.coords:
-        result = m.carrier
-    else:
-        iv = as_interval(m)  # a bare Upset, from the CLI or jsonio
-        result = qe.intersect(
-            boundary_degrees(iv.downset, sigma),
-            qe.minkowski(iv.upset.carrier, face_interior(sigma)),
-        )
-    return qe._remember(key, result)
+        return upper_boundary(m, sigma).carrier
+    if not sigma.coords:
+        return m.carrier
+    iv = as_interval(m)  # a bare Upset, from the CLI or jsonio
+    return qe.intersect(
+        boundary_degrees(iv.downset, sigma),
+        qe.minkowski(iv.upset.carrier, face_interior(sigma)),
+    )
 
 
 def frontier(d: Downset) -> PLSet:

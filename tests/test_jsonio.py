@@ -119,7 +119,7 @@ def test_socle_table_json_and_family_parse(triangle_quotient):
     data = socle_table_to_json(table)
     assert data["dim"] == 2
     assert "tau=[];sigma=[1]" in data["entries"]
-    fam = family_from_json(loads(dumps(data)))
+    fam = family_from_json(loads(dumps(data)), 2)
     key = (face(2), face(2, [0]))
     assert equals(fam[key], table.entry(*key).cosets)
 
