@@ -246,7 +246,9 @@ class Upset:
 @dataclass(frozen=True)
 class Interval:
     """Intersection of an upset and a downset, with the pair remembered; the
-    carrier is the canonical form of their meet."""
+    carrier is the canonical form of their meet.  When one part's carrier
+    is the universe, the other part's carrier, already canonical, is the
+    carrier as it is."""
 
     upset: Upset
     downset: Downset
@@ -255,7 +257,14 @@ class Interval:
     def __post_init__(self) -> None:
         if self.upset.dim != self.downset.dim:
             raise DimensionMismatch("interval parts of different dimensions")
-        carrier = qe.canonicalize(qe.intersect(self.upset.carrier, self.downset.carrier))
+        up, down = self.upset.carrier, self.downset.carrier
+        whole = qe.universe(up.dim)
+        if up == whole:
+            carrier = down
+        elif down == whole:
+            carrier = up
+        else:
+            carrier = qe.canonicalize(qe.intersect(up, down))
         object.__setattr__(self, "carrier", carrier)
 
     @property

@@ -241,7 +241,8 @@ def _parse_face_pair_key(key: str, dim: int, where: str) -> tuple[Face, Face]:
 
 def family_from_json(obj: Any, dim: int, where: str = "family") -> dict[tuple[Face, Face], PLSet]:
     """A socle-table-shaped family of coset sets, keyed by face pairs; its
-    ``dim`` must equal ``dim``, the instance dimension."""
+    ``dim`` must equal ``dim``, the instance dimension, and the cosets along
+    ``tau`` must have the quotient dimension ``dim - len(tau)``."""
     _expect(isinstance(obj, dict), where, "expected an object")
     got = obj.get("dim")
     _expect(isinstance(got, int) and not isinstance(got, bool) and got > 0,
@@ -255,7 +256,12 @@ def family_from_json(obj: Any, dim: int, where: str = "family") -> dict[tuple[Fa
         tau, sigma = _parse_face_pair_key(key, dim, f"{where}.entries[{key!r}]")
         _expect(isinstance(val, dict) and "cosets" in val,
                 f"{where}.entries[{key!r}]", "expected an object with 'cosets'")
-        out[(tau, sigma)] = plset_from_json(val["cosets"], f"{where}.entries[{key!r}].cosets")
+        cosets = plset_from_json(val["cosets"], f"{where}.entries[{key!r}].cosets")
+        qdim = dim - len(tau.coords)
+        _expect(cosets.dim == qdim, f"{where}.entries[{key!r}].cosets.dim",
+                f"cosets of dimension {cosets.dim} along tau={sorted(tau.coords)} "
+                f"of an instance of dimension {dim}, expected {qdim}")
+        out[(tau, sigma)] = cosets
     return out
 
 

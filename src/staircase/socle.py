@@ -68,14 +68,51 @@ def max_along(s: PLSet, tau: Face) -> PLSet:
     every boolean operation: :func:`socle` condenses once, after its own
     subtraction, and each extra condense here was measured not to pay
     (README, design notes).
+
+    Before any sum or difference, :func:`_may_have_maximal` reads the signs
+    of the rows of ``s``; when it rules every degree out, the result is
+    empty without a sweep.
     """
     if tau.dim != s.dim:
         raise DimensionMismatch("face dimension mismatch")
+    if not _may_have_maximal(s, tau):
+        return qe.empty(s.dim)
     result = qe.difference(s, qe.minkowski(s, _m_tau(tau, negative=True)))
     if result.cells and tau.coords:
         unstable = qe.minkowski(qe.complement(s), cone_cell(tau, negative=True))
         result = qe.difference(result, unstable)
     return result
+
+
+def _may_have_maximal(s: PLSet, tau: Face) -> bool:
+    """False only when :func:`max_along` of ``s`` along ``tau`` is empty.
+
+    A row ``normal . x <= offset`` (or ``<``) bounds the direction ``e_j``
+    when ``normal[j] > 0``.  A degree ``a`` needs both of:
+
+    * (i) for each ``j`` in ``tau``, a cell of ``s`` with no row bounding
+      ``e_j``.  The ray ``a + R_+ e_j`` lies in ``s``, and finitely many
+      convex cells cover it, so one of them holds an unbounded piece of it;
+      a row bounding ``e_j`` would bound that piece.
+    * (ii) a cell of ``s`` with, for each ``j`` off ``tau``, a non-strict
+      row bounding ``e_j``.  ``a`` lies in some cell ``c``, and
+      ``a + eps e_j`` is not in ``s``, so not in ``c``, for every
+      ``eps > 0``.  Of the finitely many rows of ``c``, one then fails at
+      ``a + eps e_j`` for arbitrarily small ``eps`` although it holds at
+      ``a``: it is tight at ``a``, so non-strict, and has ``normal[j] > 0``.
+
+    The test reads only row signs, and the proof holds for any set, so
+    intervals and reflected upsets take it too.
+    """
+    cells_ = s.cells
+    off = tau.codim_coords
+    return all(
+        any(all(h.normal[j] <= 0 for h in c.constraints) for c in cells_)
+        for j in tau.coords
+    ) and any(
+        all(any(h.normal[j] > 0 and not h.strict for h in c.constraints) for j in off)
+        for c in cells_
+    )
 
 
 def min_along(s: PLSet, rho: Face) -> PLSet:
@@ -239,6 +276,13 @@ def socle_stratum(m: Downset | Interval, tau: Face, sigma: Face) -> PLSet:
     return qe.condense(result)
 
 
+def _covered_below(b: PLSet, d: Downset, faces: list[Face]) -> bool:
+    """True when every cell of ``b`` is a cell of the upper boundary of
+    ``d`` atop one of ``faces``, compared as sets of cells: no FM step."""
+    cells_ = set(b.cells)
+    return any(cells_ <= set(boundary_degrees(d, f).cells) for f in faces)
+
+
 def socle(m: Downset | Upset | Interval, tau: Face, sigma: Face) -> SocleEntry:
     """Socle along ``tau`` with nadir ``sigma``: degrees and their cosets.
 
@@ -261,12 +305,20 @@ def socle(m: Downset | Upset | Interval, tau: Face, sigma: Face) -> SocleEntry:
 
     So the stratum is ``B - V`` (:func:`_faces_between`), and ``max_along``
     runs on the canonical, memoized boundary instead of the fragmented
-    stratum.
+    stratum.  The degrees lie in ``B - upper_boundary(D, sigma - j)`` for
+    each such ``j``, so when every cell of ``B`` is a cell of one of those
+    boundaries (:func:`_covered_below`), the entry is zero without a call
+    to ``max_along``.
     """
     _check_nadir(tau, sigma)
     d = m if isinstance(m, Downset) else as_interval(m).downset
-    degrees = max_along(boundary_degrees(m, sigma), tau)
-    for smaller in _faces_between(tau, sigma):
+    b = boundary_degrees(m, sigma)
+    smaller_faces = _faces_between(tau, sigma)
+    if _covered_below(b, d, smaller_faces):
+        degrees = qe.empty(b.dim)
+    else:
+        degrees = max_along(b, tau)
+    for smaller in smaller_faces:
         if not degrees.cells:
             break
         degrees = qe.difference(degrees, boundary_degrees(d, smaller))

@@ -125,6 +125,23 @@ def test_dense_check_rejects_a_family_of_another_dimension(capsys, tmp_path, tri
         assert f"{fam_path}.dim" in err and "dimension 2" in err and "dimension 3" in err
 
 
+def test_dense_check_rejects_cosets_of_another_dimension(capsys, tmp_path):
+    # the cosets along tau=[1] (dimension 1) filed under tau=[] (dimension 2)
+    d = random_downset(3, 2, 8)
+    instance = tmp_path / "d.json"
+    instance.write_text(dumps(instance_to_json(d)))
+    family = socle_table_to_json(socle_table(d))
+    entries = family["entries"]
+    entries["tau=[];sigma=[]"] = entries["tau=[1];sigma=[1]"]
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(dumps(family))
+    code = run(["dense-check", "--family", str(fam_path), str(instance)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{fam_path}.entries['tau=[];sigma=[]'].cosets.dim" in err
+    assert "dimension 1" in err and "expected 2" in err
+
+
 def test_fringe(capsys, tri_ray_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

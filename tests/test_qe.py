@@ -31,6 +31,7 @@ from staircase import (
     minkowski,
     plset,
     point_set,
+    random_downset,
     reflect,
     symmetric_difference,
     union,
@@ -66,7 +67,7 @@ from staircase.geometry import (
     upset_cone_cell,
 )
 from staircase.rationals import dot, int_row
-from staircase.socle import _m_tau
+from staircase.socle import _m_tau, boundary_degrees
 
 from conftest import hs, rational_grid, rows_of
 
@@ -678,6 +679,32 @@ def test_difference_matches_reference_sweep(seed, n):
     assert (w is None) == is_empty(expected)
     if w is not None:
         assert s.contains(w) and not t.contains(w)
+
+
+def _subtrahend_orders(t, seed):
+    """``t`` with its cells reversed and in two seeded shuffles."""
+    rng = random.Random(seed)
+    yield PLSet(t.dim, t.cells[::-1])
+    for _ in range(2):
+        yield PLSet(t.dim, tuple(rng.sample(t.cells, len(t.cells))))
+
+
+@pytest.mark.parametrize("seed, n, budget", [(0, 2, 8), (5, 2, 8), (17, 2, 8),
+                                             (10003, 3, 5), (10014, 3, 5)])
+def test_boolean_answers_do_not_depend_on_the_order_of_the_subtrahend(seed, n, budget):
+    # the difference sweep subtracts the cells with the fewest rows first,
+    # ties in the order given; any order must give the same sets and truths
+    d = random_downset(seed, n, budget)
+    pairs = [(boundary_degrees(d, sigma), d.carrier) for sigma in all_faces(n)]
+    pairs.append((d.carrier, closure(d.carrier)))
+    for s, t in pairs:
+        for x, y in ((s, t), (t, s)):
+            want = difference(x, y)
+            subset, same = is_subset(x, y), equals(x, y)
+            for i, z in enumerate(_subtrahend_orders(y, seed)):
+                assert equals(difference(x, z), want), i
+                assert is_subset(x, z) == subset, i
+                assert equals(x, z) == same, i
 
 
 # --- memo tables -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from staircase import (
     canonicalize,
     cell,
     closure,
+    complement,
     density_report,
     difference,
     equals,
@@ -47,6 +48,7 @@ from staircase import (
 from staircase.geometry import (
     Face,
     as_interval,
+    cone_cell,
     line_cell,
     lower_boundary_direct,
     orthant_cell,
@@ -58,6 +60,7 @@ from staircase.geometry import (
 from staircase.oracle import boundary_degrees_direct, boundary_probe_check, default_grid
 from staircase.qe import condense, minkowski, reflect
 from staircase.socle import (
+    _m_tau,
     boundary_degrees,
     min_along,
     socle,
@@ -141,6 +144,56 @@ def test_max_along_commutes_with_removing_a_downset(seed, n):
     tau, b, u = _lemma_case(random.Random(seed), n)
     assert equals(max_along(difference(b, u.carrier), tau),
                   difference(max_along(b, tau), u.carrier))
+
+
+def _max_along_unpruned(s, tau):
+    """The sweep of ``max_along`` with no row-sign test in front of it."""
+    result = difference(s, minkowski(s, _m_tau(tau, negative=True)))
+    if result.cells and tau.coords:
+        result = difference(result, minkowski(complement(s), cone_cell(tau, negative=True)))
+    return result
+
+
+def _prune_inputs():
+    """Corpus downsets and reflected upsets, each with its complement and
+    its boundaries atop every face, and interval boundary degrees."""
+    downsets = [random_downset(seed, 2, 8) for seed in range(4)]
+    downsets += [random_downset(seed, 3, 5) for seed in (10003, 10014)]
+    downsets += [reflect_upset(random_upset(seed, 2, 4)) for seed in (21000, 21003)]
+    for d in downsets:
+        yield d.carrier
+        yield complement(d.carrier)
+        for sigma in all_faces(d.dim):
+            yield boundary_degrees(d, sigma)
+    for seed in range(22000, 22010):
+        iv = random_interval(seed, 2, 3)
+        for sigma in all_faces(2):
+            yield boundary_degrees(iv, sigma)
+
+
+def _recorded(monkeypatch, name):
+    """The list of answers of ``staircase.socle.<name>``, each appended as
+    the function returns it."""
+    module = importlib.import_module("staircase.socle")
+    inner = getattr(module, name)
+    seen = []
+
+    def wrapper(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_max_along_prune_matches_the_unpruned_sweep(monkeypatch):
+    # the row-sign test only skips sweeps that find no degree, on every
+    # kind of set and face; both of its answers must occur
+    seen = _recorded(monkeypatch, "_may_have_maximal")
+    for s in _prune_inputs():
+        for tau in all_faces(s.dim):
+            assert equals(max_along(s, tau), _max_along_unpruned(s, tau)), tau
+    assert True in seen and False in seen
 
 
 # --- strata ---------------------------------------------------------------------
@@ -374,18 +427,24 @@ def test_stratum_order_does_not_change_the_stratum(kind, seed, n, cells):
      ("mirrored-upset", 21003, 2, 4), ("mirrored-upset", 13, 3, 4),
      ("interval", 22001, 2, 3), ("interval", 22010, 3, 3)],
 )
-def test_socle_degrees_are_the_maximal_stratum_degrees(kind, seed, n, cells):
+def test_socle_degrees_are_the_maximal_stratum_degrees(kind, seed, n, cells, monkeypatch):
     # socle() never builds the nadir stratum; its degrees must be the
-    # tau-maximal degrees of the oracle's stratum all the same
+    # tau-maximal degrees of the oracle's stratum all the same, whether or
+    # not the boundaries one step down cover the boundary atop sigma cell
+    # for cell and so skip max_along.  Both cases must occur, except on
+    # intervals: their boundary cells carry rows of the upset part, so
+    # they are no cells of the downset part's boundaries
     if kind == "mirrored-upset":
         m = reflect_upset(random_upset(seed, n, cells))
     else:
         m = {"downset": random_downset, "interval": random_interval}[kind](seed, n, cells)
+    seen = _recorded(monkeypatch, "_covered_below")
     for tau in all_faces(n):
         for sigma in all_faces(n):
             if tau.coords <= sigma.coords:
                 want = max_along(socle_stratum(m, tau, sigma), tau)
                 assert equals(socle(m, tau, sigma).degrees, want), (tau, sigma)
+    assert False in seen and (kind == "interval" or True in seen)
 
 
 def test_socle_rejects_a_nadir_without_tau_before_any_work(monkeypatch, triangle_quotient):
