@@ -7,7 +7,7 @@ of the n=4 instances ``random_downset(s, 4, 5)`` for s = 1-6 (seed 6 is
 the hard case), loaded from its instance JSON as the CLI does, it starts
 from cold engine caches, runs the primary decomposition, the irreducible
 family and ``reconstruct``, then checks the reconstruction against the
-carrier with ``qe.equals``.  It counts five kinds of work and one size:
+carrier with ``qe.equals``.  It counts six kinds of work and one size:
 
 * ``cells``: ``qe.Cell`` objects built, by the constructor or by
   ``qe.Cell.extended``;
@@ -20,6 +20,8 @@ carrier with ``qe.equals``.  It counts five kinds of work and one size:
   the last step of an emptiness decision, a comparison of two bounds,
   not;
 * ``is_empty_cell``: ``qe.is_empty_cell`` calls, cache hits included;
+* ``splits``: ``qe._split`` calls, the splits of a piece by a subtrahend
+  cell that the difference sweep computes (its engine table misses);
 * ``table_clears``: ``qe._remember`` calls that find the engine table
   full, at ``qe._TABLE_LIMIT`` entries, and so clear it: each clear drops
   every entry the op has stored since its start or the last clear;
@@ -76,6 +78,7 @@ def install(counts: dict, peak: list) -> None:
     qe._partition = counted_partition
     # every other module calls it through ``qe`` except svg, which is not run here
     qe.is_empty_cell = counting("is_empty_cell", qe.is_empty_cell)
+    qe._split = counting("splits", qe._split)
     remember = qe._remember
 
     @functools.wraps(remember)
@@ -97,7 +100,8 @@ def main(argv=None) -> int:
     corpus = N4 if args.n == 4 else [(s, n, b) for s, n, b in CORPUS if args.n in (None, n)]
     instances = [instance_from_json(instance_to_json(random_downset(s, n, b)))
                  for s, n, b in corpus]
-    counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell", "table_clears"), 0)
+    counts = dict.fromkeys(("cells", "fm", "fm_pairs", "is_empty_cell", "splits",
+                            "table_clears"), 0)
     peak = [0]
     install(counts, peak)
     per_n: dict[int, dict] = {}

@@ -241,8 +241,9 @@ def _parse_face_pair_key(key: str, dim: int, where: str) -> tuple[Face, Face]:
 
 def family_from_json(obj: Any, dim: int, where: str = "family") -> dict[tuple[Face, Face], PLSet]:
     """A socle-table-shaped family of coset sets, keyed by face pairs; its
-    ``dim`` must equal ``dim``, the instance dimension, and the cosets along
-    ``tau`` must have the quotient dimension ``dim - len(tau)``."""
+    ``dim`` must equal ``dim``, the instance dimension, each key's ``tau``
+    must lie inside its ``sigma``, and the cosets along ``tau`` must have
+    the quotient dimension ``dim - len(tau)``."""
     _expect(isinstance(obj, dict), where, "expected an object")
     got = obj.get("dim")
     _expect(isinstance(got, int) and not isinstance(got, bool) and got > 0,
@@ -254,6 +255,8 @@ def family_from_json(obj: Any, dim: int, where: str = "family") -> dict[tuple[Fa
     out: dict[tuple[Face, Face], PLSet] = {}
     for key, val in entries.items():
         tau, sigma = _parse_face_pair_key(key, dim, f"{where}.entries[{key!r}]")
+        _expect(tau.coords <= sigma.coords, f"{where}.entries[{key!r}]",
+                f"tau={face_to_json(tau)} is not inside sigma={face_to_json(sigma)}")
         _expect(isinstance(val, dict) and "cosets" in val,
                 f"{where}.entries[{key!r}]", "expected an object with 'cosets'")
         cosets = plset_from_json(val["cosets"], f"{where}.entries[{key!r}].cosets")

@@ -320,9 +320,11 @@ def test_n4_reconstruction_exactness(monkeypatch):
     # seed 6 is the hard case: its socle degrees come to 40-111 cells
     # unless canonicalize absorbs cells contained in others at every size.
     # Its FM work is pinned by the row pairs the FM steps partition out
-    # (qe._partition) from cold caches: 13,942 (23,692 before socle decided
-    # the provably zero entries without a sweep and the difference sweep
-    # took the widest cells first).  The bound leaves room for
+    # (qe._partition) from cold caches: 12,233 (13,942 before the
+    # difference sweep dropped pieces inside a subtrahend cell up front and
+    # the redundant-row pass kept sole-bound rows without FM; 23,692 before
+    # socle decided the provably zero entries without a sweep and the
+    # difference sweep took the widest cells first).  The bound leaves room for
     # changes that move the count a little and still fails the designs it
     # guards against, which combined more than 60,000 pairs: socle degrees
     # from the nadir strata, or FM in ascending index order instead of the

@@ -142,6 +142,24 @@ def test_dense_check_rejects_cosets_of_another_dimension(capsys, tmp_path):
     assert "dimension 1" in err and "expected 2" in err
 
 
+def test_dense_check_rejects_a_tau_outside_sigma(capsys, tmp_path):
+    # no socle entry has tau=[1] and sigma=[2]; the error names the entry
+    # with the faces as written, 1-based
+    d = random_downset(3, 2, 8)
+    instance = tmp_path / "d.json"
+    instance.write_text(dumps(instance_to_json(d)))
+    family = socle_table_to_json(socle_table(d))
+    entries = family["entries"]
+    entries["tau=[1];sigma=[2]"] = entries["tau=[1];sigma=[1]"]
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(dumps(family))
+    code = run(["dense-check", "--family", str(fam_path), str(instance)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{fam_path}.entries['tau=[1];sigma=[2]']" in err
+    assert "tau=[1] is not inside sigma=[2]" in err
+
+
 def test_fringe(capsys, tri_ray_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +46,7 @@ from staircase.qe import (
     _fm_step,
     _light_cleanup,
     _cell_subset_of_cell,
+    _drop_redundant_constraints,
     _normalize_constraints,
     _rows_empty,
     clear_caches,
@@ -705,6 +707,129 @@ def test_boolean_answers_do_not_depend_on_the_order_of_the_subtrahend(seed, n, b
                 assert equals(difference(x, z), want), i
                 assert is_subset(x, z) == subset, i
                 assert equals(x, z) == same, i
+
+
+def _sweep_without_drop(s, t):
+    """Oracle: the difference sweep without the up-front drop of contained
+    pieces and without skipping a cleanup: the cells of ``t`` widest first,
+    every piece split by each (nothing left when it implies every row of
+    the cell, the piece itself when the cell misses it), then a cleanup."""
+    pieces = list(_light_cleanup(s.cells))
+    for b in sorted(t.cells, key=lambda c: len(c.constraints)):
+        nxt = []
+        for p in pieces:
+            cut = [h for h in b.constraints if not p.implies(h)]
+            if not cut:
+                continue
+            if is_empty_cell(Cell(s.dim, p.constraints + tuple(cut))):
+                nxt.append(p)
+            else:
+                nxt.extend(Cell(s.dim, p.constraints + (h.negated(),)) for h in cut)
+        pieces = list(_light_cleanup(nxt))
+    return PLSet(s.dim, tuple(pieces))
+
+
+def _inside_row_for_row(rng, b):
+    """A cell that implies every row of ``b``: each row tightened by 0, 1/2
+    or 1 (made strict or not where it is not tightened, unless already
+    strict), plus a random row."""
+    rows = []
+    for h in b.constraints:
+        slack = Fraction(rng.choice((0, 1, 2)), 2)
+        rows.append(halfspace(h.normal, h.offset - slack,
+                              h.strict or (slack == 0 and rng.random() < 0.5)))
+    n = b.dim
+    rows.append(halfspace([rng.randint(-2, 2) for _ in range(n)],
+                          Fraction(rng.randint(-1, 3)), rng.random() < 0.5))
+    return Cell(n, tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_dropping_contained_pieces_matches_the_sweep_without_it(seed, n):
+    # the sweep drops each piece that implies every row of some subtrahend
+    # cell before it splits any; here such pieces lie inside a narrow cell
+    # that the sort puts after a wider one meeting them
+    rng = random.Random(seed)
+    narrow = Cell(n, tuple(
+        halfspace([rng.randint(-1, 1) for _ in range(n)], Fraction(rng.randint(0, 3)),
+                  rng.random() < 0.5)
+        for _ in range(rng.randint(3, 4))))
+    wide = Cell(n, (halfspace([rng.randint(-1, 1) for _ in range(n)],
+                              Fraction(rng.randint(-1, 2)), rng.random() < 0.5),))
+    inside = [p for p in (_inside_row_for_row(rng, narrow) for _ in range(rng.randint(1, 2)))
+              if not is_empty_cell(p)]
+    for p in inside:
+        assert all(map(p.implies, narrow.constraints))
+    s = PLSet(n, _seeded_plset(rng, n).cells + tuple(inside))
+    t = PLSet(n, _seeded_plset(rng, n).cells + (narrow, wide))
+    for x, y in ((s, t), (t, s), (PLSet(n, tuple(inside)), t)):
+        clear_caches()
+        want = _sweep_without_drop(x, y)
+        got = difference(x, y)
+        assert equals(got, want)
+        for p in rational_grid([-2] * n, [2] * n, Fraction(1, 2)):
+            assert got.contains(p) == want.contains(p), p
+        assert is_subset(x, y) == is_empty(want)
+        w = difference_witness(x, y)
+        assert (w is None) == is_empty(want)
+        if w is not None:
+            assert want.contains(w) and x.contains(w) and not y.contains(w)
+
+
+def _cell_around(rng, n):
+    """A nonempty cell: rows along three directions, each with either sign
+    and scale 1 or 2, so parallel and opposite pairs turn up; each row holds
+    at one seeded point, non-strict through it or with slack and either
+    strictness."""
+    x = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)]
+    directions = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(3)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        normal = [rng.choice((-2, -1, 1, 2)) * c for c in rng.choice(directions)]
+        at_x = sum(map(mul, normal, x), Fraction(0))
+        slack = Fraction(rng.choice((0, 0, 1, 2)), 2)
+        rows.append(halfspace(normal, at_x + slack, slack > 0 and rng.random() < 0.5))
+    return Cell(n, tuple(rows))
+
+
+def _all_fm_reduction(c):
+    """Oracle: the forward redundant-row pass with an FM check for every
+    row: drop a row when the rows kept so far and after it, with its
+    negation, are empty."""
+    dropped = []
+    for r in c.constraints:
+        rest = tuple(h for h in c.constraints if h != r and h not in dropped)
+        rows = Cell(c.dim, rest + (r.negated(),)).constraints
+        if _eliminate_vars(rows, range(c.dim)) is None:
+            dropped.append(r)
+    return tuple(h for h in c.constraints if h not in dropped)
+
+
+def test_sole_bound_rows_match_the_all_fm_pass():
+    # a row that alone bounds some axis direction is kept without FM; the
+    # rows must be those the FM check of every row keeps
+    skipped, checked = [0], [0]
+    sole_bounds = qe._sole_bounds
+
+    def recording(c):
+        sole = sole_bounds(c)
+        skipped[0] += len(sole)
+        checked[0] += len(c.constraints) - len(sole)
+        return sole
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def check(seed, n):
+        c = _cell_around(random.Random(seed), n)
+        assert not is_empty_cell(c)
+        clear_caches()
+        assert _drop_redundant_constraints(c).constraints == _all_fm_reduction(c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qe, "_sole_bounds", recording)
+        check()
+    assert skipped[0] and checked[0]
 
 
 # --- memo tables -----------------------------------------------------------------

@@ -20,6 +20,7 @@ def test_work_counts_runs():
     totals = json.loads(run.stdout.splitlines()[-1])
     assert totals["instances"] == 100
     assert totals["table_clears"] == 0
+    assert totals["splits"] > 0
 
 
 def test_answer_digest_round_trip(tmp_path):
